@@ -12,8 +12,8 @@
 // drive a sweep.
 //
 // Memoization has two tiers. Every engine owns a private in-process cache
-// keyed by graph signature; in addition a CostCache (canonically
-// serve.Store) can be injected with NewWithCache — or installed
+// keyed by graph signature (a bounded lru.Cache); in addition a CostCache
+// (canonically serve.Store) can be injected with NewWithCache — or installed
 // process-wide with SetDefaultCache — so many engines across many
 // requests share one eviction-managed cost store.
 package engine
@@ -26,8 +26,17 @@ import (
 	"sync/atomic"
 
 	"vitdyn/internal/graph"
+	"vitdyn/internal/lru"
 	"vitdyn/internal/rdd"
 )
+
+// DefaultMemoCapacity bounds the in-process cost memos — an engine's
+// private cache, costdb's standalone fast tier, and serve.Store's
+// default. The largest sweep this repository ships (a channelStep-64
+// SegFormer sweep) costs about 2k distinct signatures, so 16384 leaves
+// room for several backends while one entry is only a key and a couple
+// of floats.
+const DefaultMemoCapacity = 16384
 
 // CostBackend prices one inference of a model graph on some execution
 // substrate. Implementations must be safe for concurrent use: Cost is
@@ -112,15 +121,11 @@ type Candidate struct {
 	Build    func() (*graph.Graph, error)
 }
 
-// Result is one costed candidate. Err is always nil in the slice-based
-// Sweep APIs (they return the error instead); in SweepStream, where
-// results flow on a channel as they complete, a candidate's failure
-// travels in-band here.
+// Result is one costed candidate.
 type Result struct {
 	Label    string
 	Cost     float64
 	Accuracy float64
-	Err      error
 }
 
 // Engine sweeps candidate sets over one backend with a bounded worker
@@ -129,21 +134,9 @@ type Result struct {
 type Engine struct {
 	backend CostBackend
 	workers int
-	epoch   uint64    // backend epoch stamped at construction (see BackendEpoch)
-	ext     CostCache // nil = private in-process cache only
-
-	mu    sync.Mutex
-	cache map[uint64]*cacheEntry
-}
-
-// cacheEntry memoizes one graph signature's cost vector. The entry is
-// published under the engine mutex; the once guarantees the backend is
-// invoked at most once per signature even when many workers race on the
-// same graph.
-type cacheEntry struct {
-	once sync.Once
-	vals []float64
-	err  error
+	epoch   uint64                        // backend epoch stamped at construction (see BackendEpoch)
+	ext     CostCache                     // nil = private in-process cache only
+	cache   *lru.Cache[uint64, []float64] // private cache, keyed by signature; nil with ext
 }
 
 // New returns an engine over the backend. workers <= 0 selects
@@ -156,9 +149,9 @@ func New(backend CostBackend, workers int) *Engine {
 
 // NewWithCache returns an engine whose costs are memoized in the given
 // external cache (keyed by backend name and graph signature) instead of
-// a private map, so repeated or overlapping sweeps across many engines —
+// a private cache, so repeated or overlapping sweeps across many engines —
 // e.g. concurrent server requests — share one store. A nil cache falls
-// back to the private per-engine map.
+// back to a private per-engine cache of DefaultMemoCapacity entries.
 func NewWithCache(backend CostBackend, workers int, cache CostCache) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -168,13 +161,12 @@ func NewWithCache(backend CostBackend, workers int, cache CostCache) *Engine {
 		// of a nil-interface panic inside a worker goroutine.
 		backend = nilBackend{}
 	}
-	return &Engine{
-		backend: backend,
-		workers: workers,
-		epoch:   BackendEpoch(backend),
-		ext:     cache,
-		cache:   make(map[uint64]*cacheEntry),
+	e := &Engine{backend: backend, workers: workers, epoch: BackendEpoch(backend), ext: cache}
+	if cache == nil {
+		// Signatures are already hashes: shard on them directly.
+		e.cache = lru.New[uint64, []float64](DefaultMemoCapacity, func(sig uint64) uint64 { return sig })
 	}
+	return e
 }
 
 // nilBackend stands in for a nil CostBackend passed to New.
@@ -198,12 +190,13 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 
 // CachedCosts returns how many distinct graph signatures the engine's
 // private cache holds (for tests and instrumentation). With an external
-// CostCache the private map is bypassed and this stays 0 — the store's
+// CostCache the private cache is bypassed and this stays 0 — the store's
 // own stats are authoritative there.
 func (e *Engine) CachedCosts() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
+	if e.cache == nil {
+		return 0
+	}
+	return e.cache.Len()
 }
 
 // compute prices g on the backend, as a vector: MultiCostBackends run
@@ -232,21 +225,11 @@ func (e *Engine) compute(g *graph.Graph) ([]float64, error) {
 // costVec prices one graph through whichever memo layer the engine owns.
 // The returned slice is shared with the cache and must not be mutated.
 func (e *Engine) costVec(g *graph.Graph) ([]float64, error) {
-	sig := g.Signature()
+	compute := func() ([]float64, error) { return e.compute(g) }
 	if e.ext != nil {
-		return e.ext.GetOrComputeVector(e.backend.Name(), e.epoch, sig, func() ([]float64, error) {
-			return e.compute(g)
-		})
+		return e.ext.GetOrComputeVector(e.backend.Name(), e.epoch, g.Signature(), compute)
 	}
-	e.mu.Lock()
-	ent, ok := e.cache[sig]
-	if !ok {
-		ent = &cacheEntry{}
-		e.cache[sig] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() { ent.vals, ent.err = e.compute(g) })
-	return ent.vals, ent.err
+	return e.cache.GetOrCompute(g.Signature(), nil, compute)
 }
 
 // Cost prices one graph through the memo cache. For a MultiCostBackend

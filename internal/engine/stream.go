@@ -70,7 +70,7 @@ func (st StreamStats) PrefilterRate() float64 {
 	return float64(st.Prefiltered) / float64(st.Generated)
 }
 
-// globalStream accumulates the stats of every completed CatalogStream in
+// globalStream accumulates the stats of every completed catalogStream in
 // the process, behind the cmd binaries' -stream-stats flag (mirroring how
 // SetDefaultCache serves their -cache flag).
 var globalStream struct {
@@ -164,7 +164,7 @@ func (d StageDurations) Total() time.Duration {
 	return d.Generate + d.Prefilter + d.Cost + d.Frontier
 }
 
-// StreamOptions tunes CatalogStream.
+// StreamOptions tunes CatalogFromSeq.
 type StreamOptions struct {
 	// PrefilterMargin controls the FLOPs-proxy admission pre-filter.
 	// Positive enables it with that relative margin; negative disables
@@ -191,58 +191,7 @@ func (o StreamOptions) resolveMargin(backend CostBackend) float64 {
 	return -1
 }
 
-// SweepStream costs candidates as they arrive on in, fanning the work
-// across the engine's worker pool, and emits one Result per candidate on
-// the returned channel in completion order — not input order; use Sweep
-// when deterministic ordering matters. A candidate's failure travels
-// in-band in Result.Err (the stream keeps going). The output channel
-// closes once in is closed and every in-flight candidate has drained, or
-// once ctx is cancelled.
-func (e *Engine) SweepStream(ctx context.Context, in <-chan Candidate) <-chan Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make(chan Result)
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				var c Candidate
-				var ok bool
-				select {
-				case <-ctx.Done():
-					return
-				case c, ok = <-in:
-					if !ok {
-						return
-					}
-				}
-				r := Result{Label: c.Label, Accuracy: c.Accuracy}
-				if g, err := c.Build(); err != nil {
-					r.Err = fmt.Errorf("candidate %q: %w", c.Label, err)
-				} else if cost, err := e.Cost(g); err != nil {
-					r.Err = fmt.Errorf("candidate %q: %w", c.Label, err)
-				} else {
-					r.Cost = cost
-				}
-				select {
-				case out <- r:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// CatalogStream consumes a candidate stream and reduces it directly to a
+// catalogStream consumes a candidate stream and reduces it directly to a
 // Pareto-frontier RDD catalog:
 //
 //	generate → pre-filter → cost → frontier
@@ -259,14 +208,14 @@ func (e *Engine) SweepStream(ctx context.Context, in <-chan Candidate) <-chan Re
 // prove this per model family), while dominated candidates cost no memory
 // and — when the pre-filter catches them — no backend work.
 //
-// The caller must close in (or cancel ctx) for CatalogStream to return.
+// The caller must close in (or cancel ctx) for catalogStream to return.
 // On a candidate failure the first error observed wins — unlike Sweep's
 // deterministic lowest-index error, completion order decides — and the
 // pipeline shuts down early: workers stop pulling and an internal cancel
 // releases them. The producer must watch ctx on its sends (as
 // CatalogFromSeq's generator pump does), or it may be left blocked on an
 // abandoned channel.
-func (e *Engine) CatalogStream(ctx context.Context, model string, in <-chan Candidate, opts StreamOptions) (*rdd.Catalog, StreamStats, error) {
+func (e *Engine) catalogStream(ctx context.Context, model string, in <-chan Candidate, opts StreamOptions) (*rdd.Catalog, StreamStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -410,7 +359,7 @@ func (e *Engine) CatalogStream(ctx context.Context, model string, in <-chan Cand
 	return cat, st, nil
 }
 
-// CatalogFromSeq runs CatalogStream over a candidate generator: the
+// CatalogFromSeq runs catalogStream over a candidate generator: the
 // generator is pumped into the pipeline from its own goroutine, so
 // candidate enumeration overlaps pre-filtering and costing, and stops
 // early — at the generator's next yield — when ctx is cancelled or a
@@ -420,7 +369,7 @@ func (e *Engine) CatalogFromSeq(ctx context.Context, model string, seq Candidate
 		ctx = context.Background()
 	}
 	// gctx stops the generator once the pipeline bails: on candidate
-	// failure CatalogStream returns with its workers gone, and cancelling
+	// failure catalogStream returns with its workers gone, and cancelling
 	// here makes the generator's next yield return false instead of
 	// enumerating (and handing off) the rest of the sweep.
 	gctx, cancel := context.WithCancel(ctx)
@@ -454,7 +403,7 @@ func (e *Engine) CatalogFromSeq(ctx context.Context, model string, seq Candidate
 			}
 		})
 	}()
-	cat, st, err := e.CatalogStream(gctx, model, in, opts)
+	cat, st, err := e.catalogStream(gctx, model, in, opts)
 	if err != nil {
 		cancel()
 		// Release the generator goroutine (it observes gctx at its next

@@ -5,25 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"vitdyn/internal/graph"
 )
-
-// sendAll pumps candidates into a fresh channel and closes it.
-func sendAll(cands []Candidate) chan Candidate {
-	in := make(chan Candidate)
-	go func() {
-		defer close(in)
-		for _, c := range cands {
-			in <- c
-		}
-	}()
-	return in
-}
 
 // seqOf wraps a candidate slice as a generator.
 func seqOf(cands []Candidate) CandidateSeq {
@@ -33,56 +20,6 @@ func seqOf(cands []Candidate) CandidateSeq {
 				return
 			}
 		}
-	}
-}
-
-func TestSweepStreamMatchesSweep(t *testing.T) {
-	backend := &countingBackend{}
-	cands := toyCandidates(64, func(i int) int { return i + 1 })
-	want, err := New(backend, 4).Sweep(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Result
-	for r := range New(backend, 4).SweepStream(context.Background(), sendAll(cands)) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		got = append(got, r)
-	}
-	// Completion order is nondeterministic; compare as sets via label sort.
-	sort.Slice(got, func(i, j int) bool { return got[i].Label < got[j].Label })
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("streamed results diverge from Sweep:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestSweepStreamCarriesErrorsInBand(t *testing.T) {
-	cands := toyCandidates(16, func(i int) int { return i + 1 })
-	backend := failingBackend{failInF: 5} // candidate index 4
-	failures := 0
-	total := 0
-	for r := range New(backend, 4).SweepStream(context.Background(), sendAll(cands)) {
-		total++
-		if r.Err != nil {
-			failures++
-			if !strings.Contains(r.Err.Error(), `candidate "cand-004"`) {
-				t.Errorf("error %v does not name the failing candidate", r.Err)
-			}
-		}
-	}
-	if total != 16 || failures != 1 {
-		t.Errorf("stream yielded %d results with %d failures, want 16/1", total, failures)
-	}
-}
-
-func TestSweepStreamCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	in := make(chan Candidate) // never fed, never closed
-	out := New(&countingBackend{}, 2).SweepStream(ctx, in)
-	for range out {
-		t.Fatal("cancelled stream yielded a result")
 	}
 }
 
@@ -278,7 +215,7 @@ func TestCatalogStreamCancellation(t *testing.T) {
 func TestCatalogStreamEmptyStream(t *testing.T) {
 	in := make(chan Candidate)
 	close(in)
-	_, _, err := New(&countingBackend{}, 2).CatalogStream(context.Background(), "empty", in, StreamOptions{})
+	_, _, err := New(&countingBackend{}, 2).catalogStream(context.Background(), "empty", in, StreamOptions{})
 	if err == nil || !strings.Contains(err.Error(), "at least one path") {
 		t.Errorf("empty stream err = %v, want the empty-catalog error", err)
 	}

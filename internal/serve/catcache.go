@@ -12,22 +12,12 @@ package serve
 // stale catalog is invalidated on its next lookup instead of being served
 // silently wrong.
 //
-// The cache is sharded like the cost store: at high RPS every warm
-// request takes the lookup lock, and a single mutex serializes all of
-// them even though they touch different keys. Keys hash across
-// power-of-two shards, each an independent (mutex, map, LRU list)
-// triple with the single-flight build semantics intact — two requests
-// for the same spec always land on the same shard and share one build.
-// Eviction is LRU per shard over capacity/shards entries, which bounds
-// total residency at capacity exactly; small caches collapse to one
-// shard so capacity-2 eviction tests (and any operator running a tiny
-// cache) still see strict global LRU order.
+// The cache is an lru.Cache keyed by the canonicalized spec: warm
+// lookups hash across independently locked shards, and two requests for
+// the same spec always share one build.
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
+	"vitdyn/internal/lru"
 	"vitdyn/internal/rdd"
 )
 
@@ -50,152 +40,47 @@ type catalogKey struct {
 	backend string // resolved CostBackend.Name()
 }
 
-// catalogKeyFor canonicalizes a request the same way CatalogRequest.Seq
-// resolves its defaults.
+// catalogKeyFor canonicalizes a request (see CatalogRequest.withDefaults).
 func catalogKeyFor(cr CatalogRequest, backendName string) catalogKey {
-	dataset := cr.Dataset
-	if dataset == "" {
-		dataset = "ADE"
-	}
-	variant := cr.Variant
-	if variant == "" {
-		variant = "Tiny"
-	}
+	cr = cr.withDefaults()
 	return catalogKey{
 		family:  cr.Family,
-		dataset: dataset,
-		variant: variant,
+		dataset: cr.Dataset,
+		variant: cr.Variant,
 		step:    cr.Step,
 		backend: backendName,
 	}
 }
 
-// catalogEntry is one resident catalog. Like storeEntry, the once makes
-// concurrent cold requests for the same spec build once and share the
-// result; done publishes completion without joining the once. epoch is
-// fixed at insert — an entry never migrates epochs, it is replaced.
-type catalogEntry struct {
-	key   catalogKey
-	epoch uint64
-	once  sync.Once
-	done  atomic.Bool
-	cat   *rdd.Catalog
-	err   error
+func (k catalogKey) hash() uint64 {
+	h := lru.HashString(lru.HashSeed, k.family)
+	h = lru.HashString(h, k.dataset)
+	h = lru.HashString(h, k.variant)
+	h = lru.HashString(h, k.backend)
+	return lru.HashUint64(h, uint64(k.step))
 }
 
-// catShard is one independent slice of the cache: its own lock, its own
-// map, its own LRU order.
-type catShard struct {
-	mu      sync.Mutex
-	entries map[catalogKey]*list.Element
-	order   *list.List // front = most recently used
-	cap     int
+// catalogVal is one resident catalog, stamped with the backend epoch it
+// was built under; an entry never migrates epochs, it is replaced.
+type catalogVal struct {
+	epoch uint64
+	cat   *rdd.Catalog
 }
 
 // CatalogCache is a bounded LRU of built catalogs keyed by canonicalized
 // request spec, epoch-invalidated and sharded for concurrent lookups.
 // Safe for concurrent use.
 type CatalogCache struct {
-	shards []*catShard
-	mask   uint64 // len(shards) - 1; len is a power of two
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	errors        atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
-}
-
-// catalogCacheShards picks the shard count for a capacity: the largest
-// power of two ≤ min(16, capacity/8), floored at 1. Keeping at least 8
-// entries per shard means sharding never meaningfully distorts LRU
-// behaviour, and tiny caches (capacity < 16) get exactly one shard —
-// i.e. strict global LRU.
-func catalogCacheShards(capacity int) int {
-	n := 1
-	for n*2 <= 16 && n*2 <= capacity/8 {
-		n *= 2
-	}
-	return n
+	c *lru.Cache[catalogKey, catalogVal]
 }
 
 // NewCatalogCache returns a cache holding at most capacity catalogs;
-// capacity <= 0 selects DefaultCatalogCacheCapacity. The shard count is
-// derived from the capacity (see catalogCacheShards).
+// capacity <= 0 selects DefaultCatalogCacheCapacity.
 func NewCatalogCache(capacity int) *CatalogCache {
 	if capacity <= 0 {
 		capacity = DefaultCatalogCacheCapacity
 	}
-	return NewCatalogCacheWithShards(capacity, catalogCacheShards(capacity))
-}
-
-// NewCatalogCacheWithShards returns a cache with an explicit shard
-// count, rounded down to a power of two and clamped to [1, capacity].
-// Total residency across shards never exceeds capacity; per-shard
-// capacity is capacity/shards (remainder spread over the first shards).
-func NewCatalogCacheWithShards(capacity, shards int) *CatalogCache {
-	if capacity <= 0 {
-		capacity = DefaultCatalogCacheCapacity
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	// Round down to a power of two so shardFor can mask instead of mod.
-	n := 1
-	for n*2 <= shards {
-		n *= 2
-	}
-	c := &CatalogCache{shards: make([]*catShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		capi := capacity / n
-		if i < capacity%n {
-			capi++
-		}
-		c.shards[i] = &catShard{
-			entries: make(map[catalogKey]*list.Element),
-			order:   list.New(),
-			cap:     capi,
-		}
-	}
-	return c
-}
-
-// Shards reports the shard count (for /statsz and tests).
-func (c *CatalogCache) Shards() int { return len(c.shards) }
-
-// shardFor hashes the key across shards: FNV-1a over every key field,
-// with a separator byte between strings so ("ab","c") and ("a","bc")
-// differ.
-func (c *CatalogCache) shardFor(key catalogKey) *catShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff
-		h *= prime64
-	}
-	mix(key.family)
-	mix(key.dataset)
-	mix(key.variant)
-	mix(key.backend)
-	h ^= uint64(key.step)
-	h *= prime64
-	return c.shards[h&c.mask]
-}
-
-// removeLocked drops el from the shard. Caller holds s.mu.
-func (s *catShard) removeLocked(el *list.Element) {
-	s.order.Remove(el)
-	delete(s.entries, el.Value.(*catalogEntry).key)
+	return &CatalogCache{c: lru.New[catalogKey, catalogVal](capacity, catalogKey.hash)}
 }
 
 // lookup returns the cached catalog for (key, epoch) when it is resident,
@@ -205,28 +90,8 @@ func (s *catShard) removeLocked(el *list.Element) {
 // entries still building or failed report a miss without blocking.
 // Only successful lookups count as hits.
 func (c *CatalogCache) lookup(key catalogKey, epoch uint64) (*rdd.Catalog, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	el, ok := s.entries[key]
-	if !ok {
-		s.mu.Unlock()
-		return nil, false
-	}
-	ent := el.Value.(*catalogEntry)
-	if ent.epoch != epoch {
-		s.removeLocked(el)
-		s.mu.Unlock()
-		c.invalidations.Add(1)
-		return nil, false
-	}
-	if !ent.done.Load() || ent.err != nil {
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return ent.cat, true
+	v, ok := c.c.Get(key, func(v catalogVal) bool { return v.epoch == epoch })
+	return v.cat, ok
 }
 
 // getOrBuild returns the catalog for (key, epoch), running build at most
@@ -234,81 +99,18 @@ func (c *CatalogCache) lookup(key catalogKey, epoch uint64) (*rdd.Catalog, bool)
 // single sweep. Callers hold a sweep slot: build runs on the calling
 // goroutine and must never acquire one itself (a slot-holder waiting on
 // a slot-acquiring build is how slot pools deadlock). Build errors are
-// returned but never cached — whichever caller observes the failure
-// drops the entry, so the next request retries. An entry resident under
-// a different epoch is replaced.
+// returned but never cached, so the next request retries. An entry
+// resident under a different epoch is replaced.
 func (c *CatalogCache) getOrBuild(key catalogKey, epoch uint64, build func() (*rdd.Catalog, error)) (*rdd.Catalog, error) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	el, ok := s.entries[key]
-	if ok {
-		ent := el.Value.(*catalogEntry)
-		if ent.epoch == epoch {
-			s.order.MoveToFront(el)
-			s.mu.Unlock()
-			return c.join(s, ent, build)
-		}
-		s.removeLocked(el)
-		c.invalidations.Add(1)
-	}
-	ent := &catalogEntry{key: key, epoch: epoch}
-	s.entries[key] = s.order.PushFront(ent)
-	for s.order.Len() > s.cap {
-		s.removeLocked(s.order.Back())
-		c.evictions.Add(1)
-	}
-	s.mu.Unlock()
-	return c.join(s, ent, build)
-}
-
-// join runs (or waits out) the entry's build and accounts the outcome:
-// the caller whose build ran is a miss, callers that shared a finished
-// or in-flight build are hits, and any error outcome counts as an error
-// and drops the entry (identity-checked, so a racing re-insert under the
-// same key survives).
-func (c *CatalogCache) join(s *catShard, ent *catalogEntry, build func() (*rdd.Catalog, error)) (*rdd.Catalog, error) {
-	ran := false
-	ent.once.Do(func() {
-		ran = true
-		ent.cat, ent.err = build()
+	v, err := c.c.GetOrCompute(key, func(v catalogVal) bool { return v.epoch == epoch }, func() (catalogVal, error) {
+		cat, err := build()
+		return catalogVal{epoch: epoch, cat: cat}, err
 	})
-	ent.done.Store(true)
-	if ent.err != nil {
-		s.mu.Lock()
-		if el, ok := s.entries[ent.key]; ok && el.Value.(*catalogEntry) == ent {
-			s.removeLocked(el)
-		}
-		s.mu.Unlock()
-		c.errors.Add(1)
-		return nil, ent.err
-	}
-	if ran {
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
-	return ent.cat, nil
+	return v.cat, err
 }
 
-// Len returns the number of resident entries across all shards.
-func (c *CatalogCache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Capacity returns the total capacity across all shards.
-func (c *CatalogCache) Capacity() int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.cap
-	}
-	return n
-}
+// Len returns the number of resident entries.
+func (c *CatalogCache) Len() int { return c.c.Len() }
 
 // CatalogCacheStats is a point-in-time snapshot of the cache counters,
 // the /statsz catalog_cache section. Hits count lookups served from a
@@ -339,14 +141,15 @@ func (st CatalogCacheStats) HitRate() float64 {
 // Stats returns a snapshot of the cache counters (each individually
 // exact, the set approximate under concurrent load).
 func (c *CatalogCache) Stats() CatalogCacheStats {
+	st := c.c.Stats()
 	return CatalogCacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Errors:        c.errors.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-		Entries:       c.Len(),
-		Capacity:      c.Capacity(),
-		Shards:        len(c.shards),
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Errors:        st.Errors,
+		Evictions:     st.Evictions,
+		Invalidations: st.Invalidations,
+		Entries:       st.Entries,
+		Capacity:      st.Capacity,
+		Shards:        st.Shards,
 	}
 }

@@ -5,13 +5,13 @@ package serve
 // signature) shape priced anywhere in the fleet reaches every daemon
 // without an operator copying snapshots around. The exchange is the
 // costdb delta wire format over the peer's GET /v1/store/delta — bytes
-// proportional to what changed, with the full-snapshot export as the
-// cold-start fallback — and merges land through the same epoch rules as
-// every other insert: records whose backend has moved to a new
-// cost-model epoch are dropped at merge, never stored. Each peer loop is
-// independent, with its own timeout, exponential backoff and
-// consecutive-failure quarantine, so one dead peer never stalls — or
-// even delays — syncing with the rest.
+// proportional to what changed, degrading to a full dump in the same
+// framing for an empty or stale cursor — and merges land through the
+// same epoch rules as every other insert: records whose backend has
+// moved to a new cost-model epoch are dropped at merge, never stored.
+// Each peer loop is independent, with its own timeout, exponential
+// backoff and consecutive-failure quarantine, so one dead peer never
+// stalls — or even delays — syncing with the rest.
 
 import (
 	"context"
@@ -63,7 +63,7 @@ type GossipOptions struct {
 	// import body cap.
 	MaxBytes int64
 	// Logf, when non-nil, receives one line per peer state change
-	// (quarantine entered/lifted, fallback to full snapshot).
+	// (quarantine entered or lifted).
 	Logf func(format string, args ...any)
 }
 
@@ -259,9 +259,7 @@ func (g *Gossiper) syncPeer(ctx context.Context, p *gossipPeer) {
 }
 
 // fetchDelta pulls one delta stream from a peer and stages its entries.
-// A peer without the delta endpoint (404) falls back to the full
-// snapshot export — the cold-start path for mixed-version fleets —
-// reported as an uncursored full dump.
+// Any non-200 status, 404 included, is an ordinary sync failure.
 func (g *Gossiper) fetchDelta(ctx context.Context, addr string, since costdb.Cursor) (costdb.DeltaHeader, []costdb.Entry, error) {
 	var entries []costdb.Entry
 	stage := func(e costdb.Entry) error {
@@ -271,20 +269,6 @@ func (g *Gossiper) fetchDelta(ctx context.Context, addr string, since costdb.Cur
 	body, status, err := g.get(ctx, addr, "/v1/store/delta?since="+since.String())
 	if err != nil {
 		return costdb.DeltaHeader{}, nil, err
-	}
-	if status == http.StatusNotFound {
-		body.Close()
-		if body, status, err = g.get(ctx, addr, "/v1/store/export"); err != nil {
-			return costdb.DeltaHeader{}, nil, err
-		}
-		defer body.Close()
-		if status != http.StatusOK {
-			return costdb.DeltaHeader{}, nil, fmt.Errorf("peer %s: export status %d", addr, status)
-		}
-		if _, err := costdb.ReadSnapshot(body, stage); err != nil {
-			return costdb.DeltaHeader{}, nil, fmt.Errorf("peer %s: %w", addr, err)
-		}
-		return costdb.DeltaHeader{}, entries, nil
 	}
 	defer body.Close()
 	if status != http.StatusOK {

@@ -248,50 +248,3 @@ func TestGossipQuarantineAndRecovery(t *testing.T) {
 		t.Errorf("recovered peer state: %+v", st.Peers[0])
 	}
 }
-
-// TestGossipFallsBackToSnapshotExport: a peer answering 404 on the
-// delta endpoint (an older daemon) must be synced via the full snapshot
-// export instead.
-func TestGossipFallsBackToSnapshotExport(t *testing.T) {
-	srvA := NewServer(Options{})
-	for i := 0; i < 3; i++ {
-		i := i
-		if _, err := srvA.Store().GetOrComputeVector("legacybk", 4, uint64(i), func() ([]float64, error) {
-			return []float64{float64(i)}, nil
-		}); err != nil {
-			t.Fatalf("seed: %v", err)
-		}
-	}
-	// Front A with a mux that 404s /v1/store/delta, as a pre-delta
-	// daemon would.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/store/delta" {
-			http.NotFound(w, r)
-			return
-		}
-		srvA.Handler().ServeHTTP(w, r)
-	}))
-	defer legacy.Close()
-
-	srvB, _ := newTestServer(t, Options{})
-	g := NewGossiper(srvB, GossipOptions{
-		Peers:    []string{peerAddr(legacy)},
-		Interval: 10 * time.Millisecond,
-		Timeout:  2 * time.Second,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	g.Start(ctx)
-	defer g.Wait()
-	defer cancel() // LIFO: cancel before Wait, or Wait never returns
-
-	waitFor(t, 10*time.Second, "snapshot-export fallback to converge", func() bool {
-		return srvB.Store().Len() >= 3
-	})
-	st := g.Stats()
-	if st.FullSyncs == 0 || st.Failures != 0 {
-		t.Errorf("fallback stats: %+v", st)
-	}
-	if st.Peers[0].Cursor != "0:0" {
-		t.Errorf("snapshot fallback must not advance a cursor: %+v", st.Peers[0])
-	}
-}

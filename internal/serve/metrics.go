@@ -218,7 +218,7 @@ func (s *Server) initMetrics(routes []string) {
 	counter("vitdyn_response_cache_misses_total", "Cacheable requests that had to encode.", func() int64 { return rc.Stats().Misses })
 	counter("vitdyn_response_cache_invalidations_total", "Cached responses dropped on a backend epoch change.", func() int64 { return rc.Stats().Invalidations })
 	counter("vitdyn_response_cache_evictions_total", "Cached responses evicted under capacity pressure.", func() int64 { return rc.Stats().Evictions })
-	gauge("vitdyn_response_cache_entries", "Resident pre-encoded responses.", func() float64 { return float64(rc.Len()) })
+	gauge("vitdyn_response_cache_entries", "Resident pre-encoded responses.", func() float64 { return float64(rc.Stats().Entries) })
 	gauge("vitdyn_response_cache_capacity", "Response-cache entry capacity.", func() float64 { return float64(rc.Stats().Capacity) })
 	gauge("vitdyn_response_cache_shards", "Response-cache shard count.", func() float64 { return float64(rc.Stats().Shards) })
 	gauge("vitdyn_response_cache_hit_ratio", "Response-cache hit rate (0 before any lookup).", func() float64 { return rc.Stats().HitRate() })

@@ -296,7 +296,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var cacheKey string
 	if respCacheableQuery(r.URL.RawQuery) {
 		cacheKey = replayCacheKey(req.Catalog, specs, req.Policies)
-		if ent, ok := s.respLookupKeyed(respReplay, cacheKey); ok {
+		if ent, ok := s.respLookup(respReplay, cacheKey); ok {
 			s.replays.Add(1)
 			writeEntry(w, ent)
 			return

@@ -21,12 +21,11 @@ package serve
 // the LRU bounds total residency.
 
 import (
-	"container/list"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"vitdyn/internal/engine"
+	"vitdyn/internal/lru"
 )
 
 // respKind separates the three endpoint namespaces so a replay key can
@@ -64,121 +63,59 @@ type respKey struct {
 	key  string
 }
 
+func (k respKey) hash() uint64 {
+	return lru.HashString(lru.HashUint64(lru.HashSeed, uint64(k.kind)), k.key)
+}
+
 // respEntry is one cached response. body is immutable after insert —
 // writers hand the cache a private copy — so concurrent readers may
 // write it to the wire without holding any lock. clen is the
 // precomputed Content-Length header value, shared by every hit.
 type respEntry struct {
-	key    respKey
 	body   []byte
 	clen   []string // Content-Length header value, precomputed
 	stamps []epochStamp
 }
 
-// respShard is one independent slice of the cache, same shape as
-// catShard.
-type respShard struct {
-	mu      sync.Mutex
-	entries map[respKey]*list.Element
-	order   *list.List // front = most recently used
-	cap     int
+// fresh reports whether every backend stamp still matches its backend's
+// current epoch.
+func (e *respEntry) fresh() bool {
+	for _, st := range e.stamps {
+		if engine.BackendEpoch(st.backend) != st.epoch {
+			return false
+		}
+	}
+	return true
 }
 
 // RespCache is a sharded LRU of pre-encoded response bodies keyed by
 // (kind, exact key string), epoch-validated on every hit. Safe for
 // concurrent use.
 type RespCache struct {
-	shards []*respShard
-	mask   uint64
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	invalidations atomic.Int64
-	evictions     atomic.Int64
+	c      *lru.Cache[respKey, *respEntry]
+	misses atomic.Int64 // cacheable lookups that found nothing servable
 }
 
 // NewRespCache returns a cache holding at most capacity responses;
-// capacity <= 0 selects DefaultRespCacheCapacity. Shard count follows
-// the catalog cache's rule: power of two, at least 8 entries per shard,
-// one shard for tiny capacities (strict global LRU).
+// capacity <= 0 selects DefaultRespCacheCapacity.
 func NewRespCache(capacity int) *RespCache {
 	if capacity <= 0 {
 		capacity = DefaultRespCacheCapacity
 	}
-	n := catalogCacheShards(capacity)
-	c := &RespCache{shards: make([]*respShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		capi := capacity / n
-		if i < capacity%n {
-			capi++
-		}
-		c.shards[i] = &respShard{
-			entries: make(map[respKey]*list.Element),
-			order:   list.New(),
-			cap:     capi,
-		}
-	}
-	return c
-}
-
-// shardFor hashes (kind, key) across shards, FNV-1a.
-func (c *RespCache) shardFor(key respKey) *respShard {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	h ^= uint64(key.kind)
-	h *= prime64
-	for i := 0; i < len(key.key); i++ {
-		h ^= uint64(key.key[i])
-		h *= prime64
-	}
-	return c.shards[h&c.mask]
-}
-
-func (s *respShard) removeLocked(el *list.Element) {
-	s.order.Remove(el)
-	delete(s.entries, el.Value.(*respEntry).key)
+	return &RespCache{c: lru.New[respKey, *respEntry](capacity, respKey.hash)}
 }
 
 // lookup returns the cached entry for (kind, key) when it is resident
-// and every backend stamp still matches its backend's current epoch. A
-// stale stamp — the backend upgraded, or SetEpochSalt flipped every
-// epoch — invalidates the entry here, exactly like the catalog cache.
-// The returned entry's body is immutable; callers write it without
-// further synchronization.
+// and fresh. A stale stamp — the backend upgraded, or SetEpochSalt
+// flipped every epoch — invalidates the entry here, exactly like the
+// catalog cache, and counts as a miss too. The returned entry's body is
+// immutable; callers write it without further synchronization.
 func (c *RespCache) lookup(kind respKind, key string) (*respEntry, bool) {
-	k := respKey{kind: kind, key: key}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	el, ok := s.entries[k]
+	ent, ok := c.c.Get(respKey{kind: kind, key: key}, (*respEntry).fresh)
 	if !ok {
-		s.mu.Unlock()
 		c.misses.Add(1)
-		return nil, false
 	}
-	ent := el.Value.(*respEntry)
-	for _, st := range ent.stamps {
-		if engine.BackendEpoch(st.backend) != st.epoch {
-			s.removeLocked(el)
-			s.mu.Unlock()
-			c.invalidations.Add(1)
-			c.misses.Add(1)
-			return nil, false
-		}
-	}
-	s.order.MoveToFront(el)
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return ent, true
-}
-
-// lookupKeyed is lookup with the "" sentinel treated as uncacheable —
-// no probe, no miss counted. Handlers whose key construction can
-// decline (batchCacheKey, replayCacheKey) route through it.
-func (c *RespCache) lookupKeyed(kind respKind, key string) (*respEntry, bool) {
-	if key == "" {
-		return nil, false
-	}
-	return c.lookup(kind, key)
+	return ent, ok
 }
 
 // put caches a response body under (kind, key), copying body so the
@@ -189,43 +126,11 @@ func (c *RespCache) put(kind respKind, key string, body []byte, stamps []epochSt
 	if len(body) > maxRespBodyBytes || len(key) > maxRespKeyBytes || len(body) == 0 || key == "" {
 		return
 	}
-	ent := &respEntry{
-		key:    respKey{kind: kind, key: key},
+	c.c.Put(respKey{kind: kind, key: key}, &respEntry{
 		body:   append([]byte(nil), body...),
 		clen:   []string{strconv.Itoa(len(body))},
 		stamps: stamps,
-	}
-	s := c.shardFor(ent.key)
-	s.mu.Lock()
-	if el, ok := s.entries[ent.key]; ok {
-		s.removeLocked(el)
-	}
-	s.entries[ent.key] = s.order.PushFront(ent)
-	for s.order.Len() > s.cap {
-		s.removeLocked(s.order.Back())
-		c.evictions.Add(1)
-	}
-	s.mu.Unlock()
-}
-
-// Len returns the number of resident entries across all shards.
-func (c *RespCache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Capacity returns the total capacity across all shards.
-func (c *RespCache) Capacity() int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.cap
-	}
-	return n
+	})
 }
 
 // RespCacheStats is the /statsz response_cache section: hits are
@@ -253,13 +158,14 @@ func (st RespCacheStats) HitRate() float64 {
 
 // Stats returns a snapshot of the cache counters.
 func (c *RespCache) Stats() RespCacheStats {
+	st := c.c.Stats()
 	return RespCacheStats{
-		Hits:          c.hits.Load(),
+		Hits:          st.Hits,
 		Misses:        c.misses.Load(),
-		Invalidations: c.invalidations.Load(),
-		Evictions:     c.evictions.Load(),
-		Entries:       c.Len(),
-		Capacity:      c.Capacity(),
-		Shards:        len(c.shards),
+		Invalidations: st.Invalidations,
+		Evictions:     st.Evictions,
+		Entries:       st.Entries,
+		Capacity:      st.Capacity,
+		Shards:        st.Shards,
 	}
 }

@@ -140,7 +140,7 @@ func TestReplayFormsShareCachedBytes(t *testing.T) {
 // precomputed Content-Length, size caps, and per-shard LRU eviction.
 func TestRespCacheUnit(t *testing.T) {
 	c := NewRespCache(4) // 4 entries → 1 shard, strict global LRU
-	if n := len(c.shards); n != 1 {
+	if n := c.Stats().Shards; n != 1 {
 		t.Fatalf("capacity-4 cache got %d shards, want 1", n)
 	}
 	body := []byte(`{"paths":[]}` + "\n")
@@ -167,7 +167,7 @@ func TestRespCacheUnit(t *testing.T) {
 		t.Error("empty body was cached")
 	}
 	c.put(respCatalog, "", body, nil)
-	if _, ok := c.lookupKeyed(respCatalog, ""); ok {
+	if _, ok := c.lookup(respCatalog, ""); ok {
 		t.Error("empty key was cached")
 	}
 
@@ -192,6 +192,43 @@ func TestRespCacheUnit(t *testing.T) {
 	}
 	if st := small.Stats(); st.Evictions != 1 {
 		t.Errorf("evictions %d, want 1", st.Evictions)
+	}
+}
+
+// TestUncacheableBatchCountsInNeitherHitRate: a batch whose canonical
+// key exceeds the key cap is never probed, so it must count as neither
+// a hit nor a miss — in the cumulative response_cache section and in
+// every rolling window alike. One cold catalog, one warm repeat and one
+// over-cap batch leave both hit rates at 1/2.
+func TestUncacheableBatchCountsInNeitherHitRate(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	url := ts.URL + "/v1/catalog?family=ofa&backend=flops"
+	for i := 0; i < 2; i++ {
+		if status, body := get(t, url); status != http.StatusOK {
+			t.Fatalf("catalog status %d, body %s", status, body)
+		}
+	}
+	huge, err := json.Marshal(BatchRequest{Requests: []CatalogRequest{{Family: strings.Repeat("x", maxRespKeyBytes)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("over-cap batch status %d", resp.StatusCode)
+	}
+
+	rc := srv.RespCache().Stats()
+	if rc.Hits != 1 || rc.Misses != 1 {
+		t.Fatalf("cumulative response cache %+v, want 1 hit / 1 miss", rc)
+	}
+	for label, w := range srv.windowStats() {
+		if w.ResponseCacheHitRate != rc.HitRate() {
+			t.Errorf("window %s response-cache hit rate %v, cumulative %v", label, w.ResponseCacheHitRate, rc.HitRate())
+		}
 	}
 }
 
@@ -365,8 +402,8 @@ func TestRespCacheConcurrentInvalidation(t *testing.T) {
 	engine.SetEpochSalt(0)
 	backend := engine.FLOPs()
 	c := NewRespCache(128)
-	if len(c.shards) < 2 {
-		t.Fatalf("capacity-128 cache got %d shards; concurrency test wants several", len(c.shards))
+	if n := c.Stats().Shards; n < 2 {
+		t.Fatalf("capacity-128 cache got %d shards; concurrency test wants several", n)
 	}
 	const (
 		workers = 8

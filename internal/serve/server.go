@@ -378,21 +378,14 @@ func respCacheableQuery(raw string) bool {
 }
 
 // respLookup probes the response cache and feeds the windowed hit/miss
-// counters alongside the cache's own cumulative ones.
+// counters alongside the cache's own cumulative ones. A "" key is a
+// request the cache declined (see batchCacheKey): it is not probed, so
+// it counts in neither.
 func (s *Server) respLookup(kind respKind, key string) (*respEntry, bool) {
-	ent, ok := s.resp.lookup(kind, key)
-	if ok {
-		s.wRespHits.Inc()
-	} else {
-		s.wRespMisses.Inc()
+	if key == "" {
+		return nil, false
 	}
-	return ent, ok
-}
-
-// respLookupKeyed is respLookup over a derived cache key (the batch
-// and replay POST bodies).
-func (s *Server) respLookupKeyed(kind respKind, key string) (*respEntry, bool) {
-	ent, ok := s.resp.lookupKeyed(kind, key)
+	ent, ok := s.resp.lookup(kind, key)
 	if ok {
 		s.wRespHits.Inc()
 	} else {
@@ -779,41 +772,37 @@ type CatalogRequest struct {
 	Workers int    `json:"workers,omitempty"` // per-request worker budget (0 = server default)
 }
 
+// withDefaults resolves the omitted spec fields — dataset ADE, variant
+// Tiny — so every consumer (candidate generation, cache keys, canonical
+// response identities) sees one canonical form.
+func (cr CatalogRequest) withDefaults() CatalogRequest {
+	if cr.Dataset == "" {
+		cr.Dataset = "ADE"
+	}
+	if cr.Variant == "" {
+		cr.Variant = "Tiny"
+	}
+	return cr
+}
+
 // Seq resolves the request to a catalog name and candidate generator via
 // the core builders — the streaming form the server feeds into
 // engine.CatalogFromSeq.
 func (cr CatalogRequest) Seq() (string, engine.CandidateSeq, error) {
-	dataset := cr.Dataset
-	if dataset == "" {
-		dataset = "ADE"
-	}
-	variant := cr.Variant
-	if variant == "" {
-		variant = "Tiny"
-	}
+	cr = cr.withDefaults()
 	switch cr.Family {
 	case "segformer":
-		return core.SegFormerCandidateSeq(dataset, cr.Step)
+		return core.SegFormerCandidateSeq(cr.Dataset, cr.Step)
 	case "segformer-retrained":
-		return core.SegFormerRetrainedCandidateSeq(dataset)
+		return core.SegFormerRetrainedCandidateSeq(cr.Dataset)
 	case "swin":
-		return core.SwinCandidateSeq(variant, cr.Step)
+		return core.SwinCandidateSeq(cr.Variant, cr.Step)
 	case "swin-retrained":
 		return core.SwinRetrainedCandidateSeq()
 	case "ofa":
 		return core.OFACandidateSeq()
 	}
 	return "", nil, fmt.Errorf("unknown family %q (want segformer, segformer-retrained, swin, swin-retrained, ofa)", cr.Family)
-}
-
-// Candidates resolves the request to a catalog name and materialized
-// candidate list — the slice form, retained for batch-sweep callers.
-func (cr CatalogRequest) Candidates() (string, []engine.Candidate, error) {
-	model, seq, err := cr.Seq()
-	if err != nil {
-		return "", nil, err
-	}
-	return model, engine.CollectSeq(seq), nil
 }
 
 // CatalogPath is one Pareto-frontier path in a catalog response.
@@ -1111,18 +1100,13 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 }
 
 // canonicalCatalogRequest folds a catalog spec to its canonical form —
-// the same defaults catalogKeyFor resolves, the backend spec replaced
+// defaults resolved by withDefaults, the backend spec replaced
 // by its resolved name (so "", "gpu" and any future alias share bytes)
 // and the worker budget zeroed (workers change latency, never bytes).
 // Unresolvable backends keep their raw spec: the error they produce is
 // deterministic too.
 func canonicalCatalogRequest(cr CatalogRequest) CatalogRequest {
-	if cr.Dataset == "" {
-		cr.Dataset = "ADE"
-	}
-	if cr.Variant == "" {
-		cr.Variant = "Tiny"
-	}
+	cr = cr.withDefaults()
 	if b, err := ResolveBackend(cr.Backend); err == nil {
 		cr.Backend = b.Name()
 	}
@@ -1185,7 +1169,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var cacheKey string
 	if respCacheableQuery(r.URL.RawQuery) {
 		cacheKey = batchCacheKey(req)
-		if ent, ok := s.respLookupKeyed(respBatch, cacheKey); ok {
+		if ent, ok := s.respLookup(respBatch, cacheKey); ok {
 			writeEntry(w, ent)
 			return
 		}

@@ -237,9 +237,7 @@ type SweepCandidate = engine.Candidate
 // equivalent of a []SweepCandidate, consumable with range-over-func.
 type SweepCandidateSeq = engine.CandidateSeq
 
-// SweepResult is one costed candidate. In streaming sweeps a candidate's
-// failure travels in-band in Err; slice-based sweeps return the error
-// instead and leave Err nil.
+// SweepResult is one costed candidate.
 type SweepResult = engine.Result
 
 // StreamStats counts candidates through the streaming catalog pipeline:
@@ -311,9 +309,8 @@ type CostStore = serve.Store
 // CostStoreStats is a point-in-time snapshot of a store's counters.
 type CostStoreStats = serve.StoreStats
 
-// NewCostStore returns a store holding at most capacity entries,
-// rounded up to a multiple of the shard count (capacity <= 0 selects
-// the default).
+// NewCostStore returns a store holding at most capacity entries
+// (capacity <= 0 selects the default).
 func NewCostStore(capacity int) *CostStore { return serve.NewStore(capacity) }
 
 // NewSweepEngineWithStore returns an engine whose costs are memoized in

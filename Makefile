@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is what the repository considers a
 # green build: vet + race-enabled tests + one pass over every benchmark
 # + the vitdynd daemon and fleet smoke tests + vet and tests of the
-# nested vitbench module.
+# nested vitbench module + a short checked run of its cold workload.
 
 GO ?= go
 # bench-json pipes `go test` through tee; pipefail keeps a crashed
@@ -31,7 +31,7 @@ LOAD_DURATION ?= 2s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json vet lint smoke fleet-smoke vitbench load load-profile cover ci clean clean-store
+.PHONY: all build test race bench bench-json vet lint smoke fleet-smoke vitbench vitbench-smoke load load-profile cover ci clean clean-store
 
 all: build
 
@@ -145,7 +145,15 @@ vitbench:
 	$(GO) -C vitbench vet ./...
 	$(GO) -C vitbench test ./...
 
-ci: vet race bench smoke fleet-smoke vitbench
+# End-to-end correctness gate for cold builds: two seconds of the
+# benchmark's cold workload against a real vitdynd. Every response is
+# checked — including the post-timing re-read through the response
+# cache and an in-process rebuild compared byte for byte — and the run
+# exits 1 if any check fails.
+vitbench-smoke:
+	bash vitbench/run.sh --workload cold --seed 1 --seconds 2
+
+ci: vet race bench smoke fleet-smoke vitbench vitbench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -74,12 +74,24 @@ func streamCatalog(ctx context.Context, model string, seq engine.CandidateSeq, b
 	return engine.New(backend, workers).CatalogFromSeq(ctx, model, seq, engine.StreamOptions{})
 }
 
+// planned is the candidate for one pruning path's plan (see
+// engine.PlanCandidate); a path whose plan could not be derived becomes a
+// candidate that fails with that error when priced.
+func planned(label string, accuracy float64, plan *graph.Plan, err error) engine.Candidate {
+	if err != nil {
+		return engine.Candidate{Label: label, Accuracy: accuracy, Build: func() (*graph.Graph, error) { return nil, err }}
+	}
+	return engine.PlanCandidate(label, accuracy, plan)
+}
+
 // SegFormerCandidateSeq enumerates the pretrained SegFormer B2 pruning
 // sweep for a dataset as a push generator: the paper's joint sweep of
 // encoder-block bypass and decoder channel pruning, scored with the
 // anchored resilience surface. It returns the catalog name and the
 // candidate stream; configurations are produced one at a time, so the
-// streaming pipeline never holds the whole sweep.
+// streaming pipeline never holds the whole sweep. Each candidate carries
+// its plan over the compiled full B2 model (compiled on first use), so
+// LayerAdditive backends price it without building its graph.
 func SegFormerCandidateSeq(dataset string, channelStep int) (string, engine.CandidateSeq, error) {
 	res, classes, size, err := SegFormerDataset(dataset)
 	if err != nil {
@@ -89,17 +101,14 @@ func SegFormerCandidateSeq(dataset string, channelStep int) (string, engine.Cand
 	if err != nil {
 		return "", nil, err
 	}
+	tmpl, err := prune.CompileSegFormer(cfg, size, size)
+	if err != nil {
+		return "", nil, err
+	}
 	seq := func(yield func(engine.Candidate) bool) {
 		for p := range prune.SegFormerSweepSeq(cfg, channelStep) {
-			p := p
-			ok := yield(engine.Candidate{
-				Label:    p.Label,
-				Accuracy: res.Pretrained(p),
-				Build: func() (*graph.Graph, error) {
-					return prune.ApplySegFormer(cfg, size, size, p)
-				},
-			})
-			if !ok {
+			plan, err := tmpl.Plan(p)
+			if !yield(planned(p.Label, res.Pretrained(p), plan, err)) {
 				return
 			}
 		}
@@ -205,7 +214,8 @@ func SegFormerRetrainedCatalog(dataset string, backend engine.CostBackend, worke
 
 // SwinCandidateSeq enumerates the Swin pruning sweep for a variant as a
 // push generator. The paper recommends retrained switching for Swin; this
-// sweep exists to quantify why (its frontier is steep).
+// sweep exists to quantify why (its frontier is steep). Candidates carry
+// plans, as in SegFormerCandidateSeq.
 func SwinCandidateSeq(variant string, channelStep int) (string, engine.CandidateSeq, error) {
 	cfg, err := nn.SwinVariant(variant, 150)
 	if err != nil {
@@ -215,18 +225,15 @@ func SwinCandidateSeq(variant string, channelStep int) (string, engine.Candidate
 	if err != nil {
 		return "", nil, err
 	}
+	tmpl, err := prune.CompileSwin(cfg, 512, 512)
+	if err != nil {
+		return "", nil, err
+	}
 	full := prune.FullSwinPath(cfg)
 	seq := func(yield func(engine.Candidate) bool) {
 		for p := range prune.SwinSweepSeq(cfg, channelStep) {
-			p := p
-			ok := yield(engine.Candidate{
-				Label:    p.Label,
-				Accuracy: res.Pretrained(p, full),
-				Build: func() (*graph.Graph, error) {
-					return prune.ApplySwin(cfg, 512, 512, p)
-				},
-			})
-			if !ok {
+			plan, err := tmpl.Plan(p)
+			if !yield(planned(p.Label, res.Pretrained(p, full), plan, err)) {
 				return
 			}
 		}

@@ -35,8 +35,12 @@ const (
 // then only happens on Close).
 type Options struct {
 	// CompactWALBytes auto-compacts (fresh snapshot, truncated WAL) when
-	// the WAL exceeds this many bytes past its header. 0 selects
-	// DefaultCompactWALBytes; < 0 disables size-triggered compaction.
+	// the WAL exceeds this many bytes past its header — and half the size
+	// of the current snapshot, so each rewrite of the full contents is
+	// paid for by a proportional amount of new records and compaction
+	// work stays linear in inserts however large the store grows. 0
+	// selects DefaultCompactWALBytes; < 0 disables size-triggered
+	// compaction.
 	CompactWALBytes int64
 	// CompactAge makes Flush compact when the last compaction is older
 	// than this and the WAL is non-empty. 0 selects DefaultCompactAge;
@@ -74,13 +78,13 @@ type Persistent struct {
 	dir   string
 	opts  Options
 
-	mu           sync.RWMutex // guards entries, log, wal file state, compaction
-	entries      map[entryKey][]float64
-	log          []entryKey // insert order; seq N = log[N-1], the delta-export cursor space
-	gen          uint64     // incarnation id stamping cursors (see Head)
+	mu           sync.RWMutex // guards entries, wal file state, compaction
+	entries      *contents    // insert-ordered: seq N is record N-1, the delta-export cursor space
+	gen          uint64       // incarnation id stamping cursors (see Head)
 	wal          *os.File
 	walBytes     int64
 	walRecords   int64
+	snapBytes    int64 // size of the last snapshot written or loaded
 	lastCompact  time.Time
 	lastFlushErr string // last Flush failure; cleared by the next success
 	closed       bool
@@ -114,18 +118,24 @@ func Open(dir string, inner engine.CostCache, opts Options) (*Persistent, error)
 		inner:   inner,
 		dir:     dir,
 		opts:    opts.withDefaults(),
-		entries: map[entryKey][]float64{},
+		entries: newContents(),
 		gen:     newGeneration(),
 	}
 
 	snapPath := filepath.Join(dir, SnapshotFile)
 	if f, err := os.Open(snapPath); err == nil {
-		// Commit the snapshot only if it verifies end to end.
-		scratch := map[entryKey][]float64{}
+		// Commit the snapshot only if it verifies end to end. Its
+		// entries seed the insert log in snapshot order (any order does —
+		// the fresh generation means no live cursor refers into it yet),
+		// then WAL replay extends it in record order.
+		scratch := newContents()
 		_, rerr := ReadSnapshot(f, func(e Entry) error {
-			scratch[entryKey{backend: e.Backend, epoch: e.Epoch, sig: e.Sig}] = e.Vals
-			return nil
+			_, err := scratch.put(e.Backend, e.Epoch, e.Sig, e.Vals, true)
+			return err
 		})
+		if fi, err := f.Stat(); err == nil {
+			p.snapBytes = fi.Size()
+		}
 		f.Close()
 		if rerr != nil {
 			return nil, fmt.Errorf("costdb: loading snapshot %s: %w", snapPath, rerr)
@@ -134,21 +144,9 @@ func Open(dir string, inner engine.CostCache, opts Options) (*Persistent, error)
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("costdb: opening snapshot: %w", err)
 	}
-	// Seed the insert log with the snapshot contents (any order — the
-	// fresh generation means no live cursor refers into it yet), then let
-	// WAL replay extend it in record order.
-	p.log = make([]entryKey, 0, len(p.entries))
-	for k := range p.entries {
-		p.log = append(p.log, k)
-	}
-
 	wal, records, walBytes, err := openWAL(filepath.Join(dir, WALFile), func(e Entry) error {
-		k := entryKey{backend: e.Backend, epoch: e.Epoch, sig: e.Sig}
-		if _, ok := p.entries[k]; !ok {
-			p.log = append(p.log, k)
-		}
-		p.entries[k] = e.Vals
-		return nil
+		_, err := p.entries.put(e.Backend, e.Epoch, e.Sig, e.Vals, true)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -156,17 +154,17 @@ func Open(dir string, inner engine.CostCache, opts Options) (*Persistent, error)
 	p.wal = wal
 	p.walRecords = records
 	p.walBytes = walBytes
-	p.loaded = len(p.entries)
+	p.loaded = p.entries.live
 	p.lastCompact = time.Now()
 	p.lastFlushMS.Store(time.Now().UnixMilli())
 
 	// Pre-warm the fast tier so a warm boot's first catalog request is
 	// all inner-cache hits (the inserts register as one miss each in an
 	// accounting store — boot cost, visible once).
-	for k, vals := range p.entries {
-		vals := vals
-		if _, err := inner.GetOrComputeVector(k.backend, k.epoch, k.sig, func() ([]float64, error) {
-			return vals, nil
+	for i := 0; i < p.entries.nrecs; i++ {
+		e, _ := p.entries.entry(i) // nothing is retired before the first compaction
+		if _, err := inner.GetOrComputeVector(e.Backend, e.Epoch, e.Sig, func() ([]float64, error) {
+			return e.Vals, nil
 		}); err != nil {
 			p.wal.Close()
 			return nil, fmt.Errorf("costdb: pre-warming inner cache: %w", err)
@@ -186,9 +184,8 @@ func (p *Persistent) Dir() string { return p.dir }
 // durability. The returned slice is shared and must not be mutated.
 func (p *Persistent) GetOrComputeVector(backend string, epoch, sig uint64, compute func() ([]float64, error)) ([]float64, error) {
 	return p.inner.GetOrComputeVector(backend, epoch, sig, func() ([]float64, error) {
-		k := entryKey{backend: backend, epoch: epoch, sig: sig}
 		p.mu.RLock()
-		vals, ok := p.entries[k]
+		vals, ok := p.entries.get(backend, epoch, sig)
 		p.mu.RUnlock()
 		if ok {
 			p.diskHits.Add(1)
@@ -217,13 +214,12 @@ func (p *Persistent) append(backend string, epoch, sig uint64, vals []float64, a
 	if err != nil {
 		return false, err
 	}
-	k := entryKey{backend: backend, epoch: epoch, sig: sig}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return false, fmt.Errorf("costdb: store is closed")
 	}
-	if _, ok := p.entries[k]; ok {
+	if _, ok := p.entries.get(backend, epoch, sig); ok {
 		return false, nil
 	}
 	if _, err := p.wal.Write(rec); err != nil {
@@ -231,15 +227,22 @@ func (p *Persistent) append(backend string, epoch, sig uint64, vals []float64, a
 	}
 	p.walBytes += int64(len(rec))
 	p.walRecords++
-	p.entries[k] = vals
-	p.log = append(p.log, k)
+	if _, err := p.entries.put(backend, epoch, sig, vals, false); err != nil {
+		return false, err
+	}
 	p.appends.Add(1)
-	if allowCompact && p.opts.CompactWALBytes > 0 && p.walBytes >= p.opts.CompactWALBytes {
+	if allowCompact && p.walFull() {
 		if err := p.compactLocked(); err != nil {
 			return false, err
 		}
 	}
 	return true, nil
+}
+
+// walFull reports whether the WAL has grown enough to trigger a
+// size-based compaction (see Options.CompactWALBytes). Caller holds p.mu.
+func (p *Persistent) walFull() bool {
+	return p.opts.CompactWALBytes > 0 && p.walBytes >= max(p.opts.CompactWALBytes, p.snapBytes/2)
 }
 
 // compactLocked folds the full contents into a fresh snapshot (atomic
@@ -251,16 +254,13 @@ func (p *Persistent) append(backend string, epoch, sig uint64, vals []float64, a
 // anyway. Caller holds p.mu.
 func (p *Persistent) compactLocked() error {
 	if stale := p.opts.StaleEpoch; stale != nil {
-		for k := range p.entries {
-			if stale(k.backend, k.epoch) {
-				delete(p.entries, k)
-				p.retired.Add(1)
-			}
-		}
+		p.retired.Add(int64(p.entries.retire(stale)))
 	}
-	if err := writeSnapshotFile(filepath.Join(p.dir, SnapshotFile), p.sortedEntriesLocked()); err != nil {
+	size, err := writeSnapshotFile(filepath.Join(p.dir, SnapshotFile), p.entries.live, p.entries.sorted)
+	if err != nil {
 		return err
 	}
+	p.snapBytes = size
 	if err := p.wal.Truncate(int64(len(walMagic))); err != nil {
 		return fmt.Errorf("costdb: truncating wal after compaction: %w", err)
 	}
@@ -272,17 +272,6 @@ func (p *Persistent) compactLocked() error {
 	p.lastCompact = time.Now()
 	p.lastFlushMS.Store(time.Now().UnixMilli())
 	return nil
-}
-
-// sortedEntriesLocked materializes the contents in canonical order.
-// Caller holds p.mu (read or write).
-func (p *Persistent) sortedEntriesLocked() []Entry {
-	entries := make([]Entry, 0, len(p.entries))
-	for k, vals := range p.entries {
-		entries = append(entries, Entry{Backend: k.backend, Epoch: k.epoch, Sig: k.sig, Vals: vals})
-	}
-	SortEntries(entries)
-	return entries
 }
 
 // Flush makes everything appended so far durable: it fsyncs the WAL, or
@@ -357,8 +346,15 @@ func (p *Persistent) Close() error {
 // identical bytes, so export/import round-trips are byte-comparable.
 // The stream a fresh daemon imports is exactly what ExportTo writes.
 func (p *Persistent) ExportTo(w io.Writer) error {
+	// Copy the (small) entry headers out under the lock — their values
+	// alias the append-only arena — so a slow reader never holds up
+	// inserts.
 	p.mu.RLock()
-	entries := p.sortedEntriesLocked()
+	entries := make([]Entry, 0, p.entries.live)
+	_ = p.entries.sorted(func(e Entry) error {
+		entries = append(entries, e)
+		return nil
+	})
 	p.mu.RUnlock()
 	return WriteSnapshot(w, entries)
 }
@@ -385,7 +381,7 @@ func newGeneration() uint64 {
 func (p *Persistent) Head() Cursor {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return Cursor{Gen: p.gen, Seq: uint64(len(p.log))}
+	return Cursor{Gen: p.gen, Seq: uint64(p.entries.nrecs)}
 }
 
 // ExportDeltaTo streams everything inserted since the cursor to w in
@@ -401,16 +397,17 @@ func (p *Persistent) Head() Cursor {
 func (p *Persistent) ExportDeltaTo(w io.Writer, since Cursor) (DeltaHeader, int, error) {
 	p.mu.RLock()
 	from := since.Seq
-	if since.Gen != p.gen || from > uint64(len(p.log)) {
+	head := uint64(p.entries.nrecs)
+	if since.Gen != p.gen || from > head {
 		from = 0
 	}
-	entries := make([]Entry, 0, uint64(len(p.log))-from)
-	for _, k := range p.log[from:] {
-		if vals, ok := p.entries[k]; ok {
-			entries = append(entries, Entry{Backend: k.backend, Epoch: k.epoch, Sig: k.sig, Vals: vals})
+	entries := make([]Entry, 0, head-from)
+	for i := from; i < head; i++ {
+		if e, live := p.entries.entry(int(i)); live {
+			entries = append(entries, e)
 		}
 	}
-	hdr := DeltaHeader{Gen: p.gen, From: from, To: uint64(len(p.log))}
+	hdr := DeltaHeader{Gen: p.gen, From: from, To: head}
 	p.mu.RUnlock()
 	err := WriteDelta(w, hdr, entries)
 	return hdr, len(entries), err
@@ -462,7 +459,7 @@ func (p *Persistent) Import(r io.Reader) (total, added int, err error) {
 	if p.closed {
 		return total, added, nil
 	}
-	if p.opts.CompactWALBytes > 0 && p.walBytes >= p.opts.CompactWALBytes {
+	if p.walFull() {
 		return total, added, p.compactLocked()
 	}
 	if err := p.wal.Sync(); err != nil {
@@ -509,7 +506,7 @@ type Stats struct {
 // Stats returns a snapshot of the store's counters.
 func (p *Persistent) Stats() Stats {
 	p.mu.RLock()
-	entries := len(p.entries)
+	entries := p.entries.live
 	walBytes, walRecords := p.walBytes, p.walRecords
 	lastFlushErr := p.lastFlushErr
 	p.mu.RUnlock()

@@ -30,18 +30,34 @@ const snapshotMagicV1 = "VITCDBS1"
 // deterministic byte stream — identical contents always produce
 // identical bytes, which the golden round-trip tests rely on.
 func WriteSnapshot(w io.Writer, entries []Entry) error {
+	return writeSnapshot(w, len(entries), func(emit func(Entry) error) error {
+		for _, e := range entries {
+			if err := emit(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writeSnapshot is WriteSnapshot over the count entries each emits, in
+// emission order, through one write buffer: compaction streams a store's
+// contents straight to the file without copying them out first.
+func writeSnapshot(w io.Writer, count int, each func(emit func(Entry) error) error) error {
+	bw := bufio.NewWriterSize(w, 64<<10)
 	h := crc32.NewIEEE()
-	mw := io.MultiWriter(w, h)
+	mw := io.MultiWriter(bw, h)
 	if _, err := io.WriteString(mw, snapshotMagic); err != nil {
 		return fmt.Errorf("costdb: writing snapshot header: %w", err)
 	}
 	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(entries)))
+	binary.LittleEndian.PutUint64(scratch[:], uint64(count))
 	if _, err := mw.Write(scratch[:]); err != nil {
 		return fmt.Errorf("costdb: writing snapshot header: %w", err)
 	}
 	var buf []byte
-	for _, e := range entries {
+	written := 0
+	if err := each(func(e Entry) error {
 		var err error
 		if buf, err = appendEntry(buf[:0], e); err != nil {
 			return err
@@ -49,10 +65,20 @@ func WriteSnapshot(w io.Writer, entries []Entry) error {
 		if _, err := mw.Write(buf); err != nil {
 			return fmt.Errorf("costdb: writing snapshot entry: %w", err)
 		}
+		written++
+		return nil
+	}); err != nil {
+		return err
+	}
+	if written != count {
+		return fmt.Errorf("costdb: snapshot holds %d entries, header says %d", written, count)
 	}
 	binary.LittleEndian.PutUint32(scratch[:4], h.Sum32())
-	if _, err := w.Write(scratch[:4]); err != nil {
+	if _, err := bw.Write(scratch[:4]); err != nil {
 		return fmt.Errorf("costdb: writing snapshot checksum: %w", err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("costdb: writing snapshot: %w", err)
 	}
 	return nil
 }
@@ -165,44 +191,50 @@ func SortEntries(entries []Entry) {
 	})
 }
 
-// writeSnapshotFile writes entries to path atomically: a temp file in
+// writeSnapshotFile writes the count entries each emits to path atomically: a temp file in
 // the same directory, fsync, rename, then fsync of the directory so the
 // rename itself is durable — a crash mid-write leaves the previous
 // snapshot untouched, and a crash after return cannot resurrect it.
 // (Compaction truncates the WAL only after this returns; without the
 // directory sync, power loss could persist the truncation but not the
 // rename, silently dropping everything since the previous compaction.)
-func writeSnapshotFile(path string, entries []Entry) error {
+func writeSnapshotFile(path string, count int, each func(emit func(Entry) error) error) (int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("costdb: creating snapshot: %w", err)
+		return 0, fmt.Errorf("costdb: creating snapshot: %w", err)
 	}
-	if err := WriteSnapshot(f, entries); err != nil {
+	if err := writeSnapshot(f, count, each); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return 0, err
+	}
+	size, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return 0, fmt.Errorf("costdb: sizing snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("costdb: syncing snapshot: %w", err)
+		return 0, fmt.Errorf("costdb: syncing snapshot: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("costdb: closing snapshot: %w", err)
+		return 0, fmt.Errorf("costdb: closing snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("costdb: publishing snapshot: %w", err)
+		return 0, fmt.Errorf("costdb: publishing snapshot: %w", err)
 	}
 	dir, err := os.Open(filepath.Dir(path))
 	if err != nil {
-		return fmt.Errorf("costdb: syncing snapshot directory: %w", err)
+		return 0, fmt.Errorf("costdb: syncing snapshot directory: %w", err)
 	}
 	defer dir.Close()
 	if err := dir.Sync(); err != nil {
-		return fmt.Errorf("costdb: syncing snapshot directory: %w", err)
+		return 0, fmt.Errorf("costdb: syncing snapshot directory: %w", err)
 	}
-	return nil
+	return size, nil
 }

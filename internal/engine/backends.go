@@ -6,6 +6,26 @@ import (
 	"vitdyn/internal/magnet"
 )
 
+// LayerAdditive is an optional CostBackend marker for backends whose cost
+// vector is a sum of independent per-layer addends, scaled once at the
+// end. The engine then prices a candidate that carries a plan (see
+// graph.Plan) without building its graph: the addends of every layer of
+// the plan's template are computed once per (backend, epoch, template),
+// and the candidate's cost is the addends of the positions it keeps, plus
+// those of its few patched layers, summed in layer order and passed
+// through ScaleCost. The result must be bit-identical to Cost (or
+// CostVector) on the materialised graph — summing in layer order is what
+// makes it so.
+type LayerAdditive interface {
+	// LayerCost writes l's addends into dst, one per cost-vector
+	// component: len(dst) is len(Metrics()) for a MultiCostBackend and 1
+	// otherwise. It fails exactly when Cost would fail on any graph.
+	LayerCost(l *graph.Layer, dst []float64) error
+	// ScaleCost turns the in-order addend sums into the cost vector, in
+	// place.
+	ScaleCost(sums []float64)
+}
+
 // gpuBackend costs graphs in milliseconds on an analytical GPU latency
 // model. gpu.Device.Run only reads the device tables, so one device can
 // serve all workers.
@@ -25,6 +45,14 @@ func (gpuBackend) FLOPsMonotone() bool { return true }
 func (b gpuBackend) Cost(g *graph.Graph) (float64, error) {
 	return b.dev.Run(g).Total * 1e3, nil
 }
+
+// LayerCost: gpu.Device.Run sums per-layer LayerSeconds.
+func (b gpuBackend) LayerCost(l *graph.Layer, dst []float64) error {
+	dst[0], _ = b.dev.LayerSeconds(l)
+	return nil
+}
+
+func (gpuBackend) ScaleCost(sums []float64) { sums[0] *= 1e3 }
 
 // magnetBackend costs graphs on a MAGNet accelerator simulation, by time
 // (milliseconds) or energy (millijoules).
@@ -60,6 +88,36 @@ func (b magnetBackend) Cost(g *graph.Graph) (float64, error) {
 		return r.EnergyJ() * 1e3, nil
 	}
 	return r.TotalSeconds * 1e3, nil
+}
+
+// LayerCost: magnet.Config.Simulate sums per-layer SimulateLayer
+// results, after validating the configuration.
+func (b magnetBackend) LayerCost(l *graph.Layer, dst []float64) error {
+	if err := b.cfg.Validate(); err != nil {
+		return err
+	}
+	lr := b.cfg.SimulateLayer(l)
+	if b.energy {
+		dst[0] = lr.EnergyPJ
+	} else {
+		dst[0] = lr.Seconds
+	}
+	return nil
+}
+
+func (b magnetBackend) ScaleCost(sums []float64) {
+	if b.energy {
+		sums[0] = energyMJ(sums[0])
+	} else {
+		sums[0] *= 1e3
+	}
+}
+
+// energyMJ converts summed picojoules to millijoules the way Cost does:
+// through magnet.Result.EnergyJ, then to millijoules.
+func energyMJ(pj float64) float64 {
+	r := magnet.Result{TotalEnergyPJ: pj}
+	return r.EnergyJ() * 1e3
 }
 
 // magnetMultiBackend prices time and energy from one simulation pass.
@@ -100,6 +158,21 @@ func (b magnetMultiBackend) Cost(g *graph.Graph) (float64, error) {
 	return v[0], nil
 }
 
+// LayerCost: time and energy addends of one simulated layer.
+func (b magnetMultiBackend) LayerCost(l *graph.Layer, dst []float64) error {
+	if err := b.cfg.Validate(); err != nil {
+		return err
+	}
+	lr := b.cfg.SimulateLayer(l)
+	dst[0], dst[1] = lr.Seconds, lr.EnergyPJ
+	return nil
+}
+
+func (magnetMultiBackend) ScaleCost(sums []float64) {
+	sums[0] *= 1e3
+	sums[1] = energyMJ(sums[1])
+}
+
 // flopsBackend is the cheap smoke-costing proxy: cost equals the graph's
 // GMAC count. It preserves the FLOP ordering of a sweep without running
 // any latency or energy model, which makes it ideal for fast tests and
@@ -117,3 +190,13 @@ func (flopsBackend) FLOPsMonotone() bool { return true }
 func (flopsBackend) Cost(g *graph.Graph) (float64, error) {
 	return float64(g.TotalMACs()) / 1e9, nil
 }
+
+// LayerCost: a graph's MACs are the sum of its layers'. Every partial
+// sum stays far below 2^53, so the float64 sum is exact and equals
+// float64(TotalMACs).
+func (flopsBackend) LayerCost(l *graph.Layer, dst []float64) error {
+	dst[0] = float64(l.MACs())
+	return nil
+}
+
+func (flopsBackend) ScaleCost(sums []float64) { sums[0] /= 1e9 }

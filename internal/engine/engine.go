@@ -115,10 +115,28 @@ func BackendEvals() int64 { return backendEvals.Load() }
 // Candidate is one execution path to be swept: a label, a known accuracy,
 // and a constructor for the graph to be costed. Build runs on a worker
 // goroutine and must not share mutable state with other candidates.
+//
+// A candidate may also carry Plan, the same path as a plan over its
+// model's template, whose Graph() is what Build returns. On a
+// LayerAdditive backend the engine then reads the candidate's MACs and
+// signature from the plan and sums its cost positionally, never calling
+// Build; every other backend builds the graph.
 type Candidate struct {
 	Label    string
 	Accuracy float64
 	Build    func() (*graph.Graph, error)
+	Plan     *graph.Plan
+}
+
+// PlanCandidate returns the candidate for a plan: priced from the plan on
+// LayerAdditive backends, from plan.Graph() on all others.
+func PlanCandidate(label string, accuracy float64, plan *graph.Plan) Candidate {
+	return Candidate{
+		Label:    label,
+		Accuracy: accuracy,
+		Build:    func() (*graph.Graph, error) { return plan.Graph(), nil },
+		Plan:     plan,
+	}
 }
 
 // Result is one costed candidate.
@@ -133,10 +151,16 @@ type Result struct {
 // zero value is not valid — use New.
 type Engine struct {
 	backend CostBackend
+	name    string // backend.Name(), resolved once: names may be built per call
 	workers int
-	epoch   uint64                        // backend epoch stamped at construction (see BackendEpoch)
-	ext     CostCache                     // nil = private in-process cache only
-	cache   *lru.Cache[uint64, []float64] // private cache, keyed by signature; nil with ext
+	// additive is the backend when it is LayerAdditive, width the length
+	// of its cost vector and vectorID its identity in layerVectors.
+	additive LayerAdditive
+	width    int
+	vectorID string
+	epoch    uint64                        // backend epoch stamped at construction (see BackendEpoch)
+	ext      CostCache                     // nil = private in-process cache only
+	cache    *lru.Cache[uint64, []float64] // private cache, keyed by signature; nil with ext
 }
 
 // New returns an engine over the backend. workers <= 0 selects
@@ -161,7 +185,13 @@ func NewWithCache(backend CostBackend, workers int, cache CostCache) *Engine {
 		// of a nil-interface panic inside a worker goroutine.
 		backend = nilBackend{}
 	}
-	e := &Engine{backend: backend, workers: workers, epoch: BackendEpoch(backend), ext: cache}
+	e := &Engine{backend: backend, name: backend.Name(), workers: workers, epoch: BackendEpoch(backend), ext: cache, width: 1}
+	if la, ok := backend.(LayerAdditive); ok {
+		e.additive, e.vectorID = la, fmt.Sprintf("%#v", backend)
+		if mb, ok := backend.(MultiCostBackend); ok {
+			e.width = len(mb.Metrics())
+		}
+	}
 	if cache == nil {
 		// Signatures are already hashes: shard on them directly.
 		e.cache = lru.New[uint64, []float64](DefaultMemoCapacity, func(sig uint64) uint64 { return sig })
@@ -222,14 +252,147 @@ func (e *Engine) compute(g *graph.Graph) ([]float64, error) {
 	return []float64{c}, nil
 }
 
-// costVec prices one graph through whichever memo layer the engine owns.
-// The returned slice is shared with the cache and must not be mutated.
-func (e *Engine) costVec(g *graph.Graph) ([]float64, error) {
-	compute := func() ([]float64, error) { return e.compute(g) }
+// memo looks a graph signature up in whichever memo layer the engine
+// owns, running compute on a miss. The returned slice is shared with the
+// cache and must not be mutated.
+func (e *Engine) memo(sig uint64, compute func() ([]float64, error)) ([]float64, error) {
 	if e.ext != nil {
-		return e.ext.GetOrComputeVector(e.backend.Name(), e.epoch, g.Signature(), compute)
+		return e.ext.GetOrComputeVector(e.name, e.epoch, sig, compute)
 	}
-	return e.cache.GetOrCompute(g.Signature(), nil, compute)
+	return e.cache.GetOrCompute(sig, nil, compute)
+}
+
+// costVec prices one graph through the memo.
+func (e *Engine) costVec(g *graph.Graph) ([]float64, error) {
+	return e.memo(g.Signature(), func() ([]float64, error) { return e.compute(g) })
+}
+
+// resolved is one candidate made ready for pricing: its plan when the
+// backend sums plans positionally, its built graph otherwise.
+type resolved struct {
+	plan *graph.Plan
+	g    *graph.Graph
+}
+
+// resolve readies c for pricing, building its graph only when the
+// backend cannot price its plan.
+func (e *Engine) resolve(c Candidate) (resolved, error) {
+	if e.additive != nil && c.Plan != nil {
+		return resolved{plan: c.Plan}, nil
+	}
+	g, err := c.Build()
+	if err != nil {
+		return resolved{}, fmt.Errorf("candidate %q: %w", c.Label, err)
+	}
+	return resolved{g: g}, nil
+}
+
+// macs returns the candidate's MACs, the admission pre-filter's proxy.
+func (r resolved) macs() int64 {
+	if r.plan != nil {
+		return r.plan.MACs()
+	}
+	return r.g.TotalMACs()
+}
+
+// price costs one resolved candidate through the memo: a plan is keyed by
+// the signature of the graph it stands for and, on a miss, summed
+// positionally; a graph goes through the whole-graph backend path. Either
+// way a miss is one backend evaluation. The returned slice is shared
+// with the cache and must not be mutated.
+func (e *Engine) price(r resolved) ([]float64, error) {
+	if r.plan == nil {
+		return e.costVec(r.g)
+	}
+	return e.memo(r.plan.Signature(), func() ([]float64, error) {
+		backendEvals.Add(1)
+		return e.positional(r.plan)
+	})
+}
+
+// positional prices plan p from its template's addend vector.
+func (e *Engine) positional(p *graph.Plan) ([]float64, error) {
+	vec, err := e.layerVector(p.Template())
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]float64, 2*e.width)
+	if err := e.sumPlan(p, vec, buf[:e.width], buf[e.width:]); err != nil {
+		return nil, err
+	}
+	return buf[:e.width:e.width], nil
+}
+
+// vectorKey identifies one template's per-position addends on one
+// backend cost model. backend is the backend's full value (see
+// NewWithCache), not just its name: two differently configured backends
+// that share a name — an invalid accelerator configuration labelled like
+// a valid one — must not share addends.
+type vectorKey struct {
+	backend  string
+	epoch    uint64
+	template uint64
+}
+
+// layerVectors caches per-position addend vectors, built on first use.
+// One entry is a few KB, and a process sees a handful of templates per
+// backend.
+var layerVectors = sync.OnceValue(func() *lru.Cache[vectorKey, []float64] {
+	return lru.New[vectorKey, []float64](256, func(k vectorKey) uint64 {
+		return lru.HashUint64(lru.HashUint64(lru.HashString(lru.HashSeed, k.backend), k.epoch), k.template)
+	})
+})
+
+// layerVector returns the addends of every layer of t on the engine's
+// backend: width values per position, in layer order.
+func (e *Engine) layerVector(t *graph.Template) ([]float64, error) {
+	key := vectorKey{backend: e.vectorID, epoch: e.epoch, template: t.ID()}
+	return layerVectors().GetOrCompute(key, nil, func() ([]float64, error) {
+		vec := make([]float64, t.Len()*e.width)
+		for i := 0; i < t.Len(); i++ {
+			if err := e.additive.LayerCost(t.Layer(i), vec[i*e.width:(i+1)*e.width]); err != nil {
+				return nil, err
+			}
+		}
+		return vec, nil
+	})
+}
+
+// sumPlan prices plan p from its template's addend vector vec: sums gets
+// the addends of every layer p keeps, patched layers priced on their own
+// (into scratch), accumulated in layer order per metric and then scaled —
+// the same additions, in the same order, the backend makes over the
+// materialised graph. sums and scratch have the backend's width.
+func (e *Engine) sumPlan(p *graph.Plan, vec, sums, scratch []float64) error {
+	w := e.width
+	clear(sums)
+	for i := 0; i < p.Runs(); i++ {
+		start, end, patched := p.Run(i)
+		if patched != nil {
+			if err := e.additive.LayerCost(patched, scratch); err != nil {
+				return err
+			}
+			for m := range sums {
+				sums[m] += scratch[m]
+			}
+			continue
+		}
+		if w == 1 {
+			s := sums[0]
+			for _, v := range vec[start:end] {
+				s += v
+			}
+			sums[0] = s
+			continue
+		}
+		for pos := start; pos < end; pos++ {
+			for m := range sums {
+				sums[m] += vec[pos*w+m]
+			}
+		}
+	}
+	e.additive.ScaleCost(sums)
+	return nil
 }
 
 // Cost prices one graph through the memo cache. For a MultiCostBackend
@@ -274,15 +437,15 @@ func (e *Engine) SweepCtx(ctx context.Context, cands []Candidate) ([]Result, err
 	results := make([]Result, len(cands))
 	if err := ForEachCtx(ctx, e.workers, len(cands), func(i int) error {
 		c := cands[i]
-		g, err := c.Build()
+		r, err := e.resolve(c)
+		if err != nil {
+			return err
+		}
+		vals, err := e.price(r)
 		if err != nil {
 			return fmt.Errorf("candidate %q: %w", c.Label, err)
 		}
-		cost, err := e.Cost(g)
-		if err != nil {
-			return fmt.Errorf("candidate %q: %w", c.Label, err)
-		}
-		results[i] = Result{Label: c.Label, Cost: cost, Accuracy: c.Accuracy}
+		results[i] = Result{Label: c.Label, Cost: vals[0], Accuracy: c.Accuracy}
 		return nil
 	}); err != nil {
 		return nil, err

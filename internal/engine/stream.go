@@ -44,12 +44,15 @@ func CollectSeq(seq CandidateSeq) []Candidate {
 // backend evaluation; Costed the ones priced on the backend (so
 // Generated == Prefiltered + Costed); Admitted the costed results that
 // were non-dominated at the moment they reached the frontier builder
-// (later arrivals may still evict them).
+// (later arrivals may still evict them). Materialized counts the
+// candidates whose graph was actually built: all of them on a backend
+// that is not LayerAdditive, only those without a plan on one that is.
 type StreamStats struct {
-	Generated   int64 `json:"generated"`
-	Prefiltered int64 `json:"prefiltered"`
-	Costed      int64 `json:"costed"`
-	Admitted    int64 `json:"admitted"`
+	Generated    int64 `json:"generated"`
+	Prefiltered  int64 `json:"prefiltered"`
+	Costed       int64 `json:"costed"`
+	Admitted     int64 `json:"admitted"`
+	Materialized int64 `json:"materialized"`
 }
 
 // Add accumulates other into st.
@@ -58,6 +61,7 @@ func (st *StreamStats) Add(other StreamStats) {
 	st.Prefiltered += other.Prefiltered
 	st.Costed += other.Costed
 	st.Admitted += other.Admitted
+	st.Materialized += other.Materialized
 }
 
 // PrefilterRate returns Prefiltered/Generated — the fraction of the sweep
@@ -74,17 +78,18 @@ func (st StreamStats) PrefilterRate() float64 {
 // the process, behind the cmd binaries' -stream-stats flag (mirroring how
 // SetDefaultCache serves their -cache flag).
 var globalStream struct {
-	generated, prefiltered, costed, admitted atomic.Int64
+	generated, prefiltered, costed, admitted, materialized atomic.Int64
 }
 
 // GlobalStreamStats returns the process-wide accumulated stats of every
 // streaming catalog built so far.
 func GlobalStreamStats() StreamStats {
 	return StreamStats{
-		Generated:   globalStream.generated.Load(),
-		Prefiltered: globalStream.prefiltered.Load(),
-		Costed:      globalStream.costed.Load(),
-		Admitted:    globalStream.admitted.Load(),
+		Generated:    globalStream.generated.Load(),
+		Prefiltered:  globalStream.prefiltered.Load(),
+		Costed:       globalStream.costed.Load(),
+		Admitted:     globalStream.admitted.Load(),
+		Materialized: globalStream.materialized.Load(),
 	}
 }
 
@@ -93,6 +98,7 @@ func addGlobalStream(st StreamStats) {
 	globalStream.prefiltered.Add(st.Prefiltered)
 	globalStream.costed.Add(st.Costed)
 	globalStream.admitted.Add(st.Admitted)
+	globalStream.materialized.Add(st.Materialized)
 }
 
 // DefaultPrefilterMargin is the relative FLOPs slack granted to a
@@ -141,7 +147,7 @@ type StageTimings struct {
 // StageDurations is a plain snapshot of StageTimings.
 type StageDurations struct {
 	Generate  time.Duration `json:"generate"`  // candidate enumeration (generator think-time, send waits excluded)
-	Prefilter time.Duration `json:"prefilter"` // graph construction + FLOPs-proxy admission check
+	Prefilter time.Duration `json:"prefilter"` // graph construction (unless priced from a plan) + FLOPs-proxy admission check
 	Cost      time.Duration `json:"cost"`      // backend evaluation (cache hits included)
 	Frontier  time.Duration `json:"frontier"`  // path validation + frontier insertion
 }
@@ -196,7 +202,8 @@ func (o StreamOptions) resolveMargin(backend CostBackend) float64 {
 //
 //	generate → pre-filter → cost → frontier
 //
-// Each worker builds an arriving candidate's graph, consults the running
+// Each worker resolves an arriving candidate — its plan on a LayerAdditive
+// backend, its built graph otherwise (see Engine.resolve) — consults the running
 // FLOPs/accuracy admission frontier — a candidate whose optimistic
 // (FLOPs-proxy cost, accuracy) point is dominated with margin by an
 // already-seen candidate is discarded before the expensive backend runs —
@@ -227,7 +234,7 @@ func (e *Engine) catalogStream(ctx context.Context, model string, in <-chan Cand
 	defer cancel()
 
 	var (
-		generated, prefiltered, costed, admitted atomic.Int64
+		generated, prefiltered, costed, admitted, materialized atomic.Int64
 
 		admissionMu sync.Mutex
 		admission   pareto.FrontierBuilder
@@ -259,12 +266,15 @@ func (e *Engine) catalogStream(ctx context.Context, model string, in <-chan Cand
 		if timed {
 			t0 = time.Now()
 		}
-		g, err := c.Build()
+		r, err := e.resolve(c)
 		if err != nil {
-			return fmt.Errorf("candidate %q: %w", c.Label, err)
+			return err
+		}
+		if r.g != nil {
+			materialized.Add(1)
 		}
 		if margin >= 0 {
-			pt := pareto.Point{Cost: float64(g.TotalMACs()) / 1e9, Value: c.Accuracy, Tag: c.Label}
+			pt := pareto.Point{Cost: float64(r.macs()) / 1e9, Value: c.Accuracy, Tag: c.Label}
 			admissionMu.Lock()
 			dominated := admission.DominatedWithMargin(pt, margin)
 			if !dominated {
@@ -284,10 +294,11 @@ func (e *Engine) catalogStream(ctx context.Context, model string, in <-chan Cand
 			timings.prefilterNS.Add(now.Sub(t0).Nanoseconds())
 			t0 = now
 		}
-		cost, err := e.Cost(g)
+		vals, err := e.price(r)
 		if err != nil {
 			return fmt.Errorf("candidate %q: %w", c.Label, err)
 		}
+		cost := vals[0]
 		costed.Add(1)
 		if timed {
 			now := time.Now()
@@ -338,10 +349,11 @@ func (e *Engine) catalogStream(ctx context.Context, model string, in <-chan Cand
 	wg.Wait()
 
 	st := StreamStats{
-		Generated:   generated.Load(),
-		Prefiltered: prefiltered.Load(),
-		Costed:      costed.Load(),
-		Admitted:    admitted.Load(),
+		Generated:    generated.Load(),
+		Prefiltered:  prefiltered.Load(),
+		Costed:       costed.Load(),
+		Admitted:     admitted.Load(),
+		Materialized: materialized.Load(),
 	}
 	if failed.Load() {
 		return nil, st, firstEr

@@ -185,49 +185,41 @@ func (g *Graph) Pixels() int { return g.InputH * g.InputW }
 // different labels share one signature. The sweep engine keys its cost
 // memo cache on this value.
 func (g *Graph) Signature() uint64 {
-	// Word-level FNV-1a: one xor/multiply round per field rather than per
-	// byte, keeping the hash an order of magnitude cheaper than the
-	// cheapest cost model that consumes it.
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v int) {
-		h ^= uint64(int64(v))
-		h *= prime64
-	}
-	mix(g.InputH)
-	mix(g.InputW)
-	mix(len(g.Layers))
+	h := signatureStart(g.InputH, g.InputW, len(g.Layers))
 	for i := range g.Layers {
-		l := &g.Layers[i]
-		bias := 0
-		if l.HasBias {
-			bias = 1
-		}
-		mix(int(l.Kind))
-		mix(l.InC)
-		mix(l.OutC)
-		mix(l.KH)
-		mix(l.KW)
-		mix(l.SH)
-		mix(l.SW)
-		mix(l.InH)
-		mix(l.InW)
-		mix(l.OutH)
-		mix(l.OutW)
-		mix(l.Groups)
-		mix(bias)
-		mix(l.Tokens)
-		mix(l.InF)
-		mix(l.OutF)
-		mix(l.Batch)
-		mix(l.M)
-		mix(l.K)
-		mix(l.N)
-		mix(l.Elems)
-		mix(l.Channels)
+		h = mixLayer(h, &g.Layers[i])
+	}
+	return h
+}
+
+// Word-level FNV-1a: one xor/multiply round per field rather than per
+// byte, keeping the hash an order of magnitude cheaper than the cheapest
+// cost model that consumes it.
+const (
+	sigOffset = 14695981039346656037
+	sigPrime  = 1099511628211
+)
+
+// signatureStart hashes a signature's header: input resolution and layer
+// count.
+func signatureStart(inH, inW, layers int) uint64 {
+	h := uint64(sigOffset)
+	h = (h ^ uint64(int64(inH))) * sigPrime
+	h = (h ^ uint64(int64(inW))) * sigPrime
+	return (h ^ uint64(int64(layers))) * sigPrime
+}
+
+// mixLayer folds every shape field of l into the running signature h.
+func mixLayer(h uint64, l *Layer) uint64 {
+	bias := 0
+	if l.HasBias {
+		bias = 1
+	}
+	for _, v := range [...]int{
+		int(l.Kind), l.InC, l.OutC, l.KH, l.KW, l.SH, l.SW, l.InH, l.InW, l.OutH, l.OutW,
+		l.Groups, bias, l.Tokens, l.InF, l.OutF, l.Batch, l.M, l.K, l.N, l.Elems, l.Channels,
+	} {
+		h = (h ^ uint64(int64(v))) * sigPrime
 	}
 	return h
 }

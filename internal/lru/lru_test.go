@@ -317,3 +317,34 @@ func TestGetHitZeroAllocs(t *testing.T) {
 		t.Errorf("warm Get allocated %v times per run, want 0", n)
 	}
 }
+
+// TestChurnKeepsResidentSetExact drives a small cache through many times
+// its capacity in evictions — past every periodic rebuild of the shard
+// maps — and checks the resident set stays exactly the most recent keys,
+// in LRU order.
+func TestChurnKeepsResidentSetExact(t *testing.T) {
+	c := newInt(8) // one shard
+	var calls atomic.Int64
+	for k := 0; k < 1000; k++ {
+		if _, err := c.GetOrCompute(k, nil, constant(&calls, k)); err != nil {
+			t.Fatal(err)
+		}
+		if k%97 == 0 && k >= 8 {
+			c.GetOrCompute(k-7, nil, constant(&calls, k-7)) // touch the oldest: it survives the next eviction
+		}
+	}
+	if c.Len() != 8 {
+		t.Fatalf("Len = %d, want 8", c.Len())
+	}
+	for k := 992; k < 1000; k++ {
+		if v, ok := c.Get(k, nil); !ok || v != k {
+			t.Errorf("Get(%d) = %d, %v", k, v, ok)
+		}
+	}
+	if _, ok := c.Get(991, nil); ok {
+		t.Error("evicted key 991 still resident")
+	}
+	if st := c.Stats(); st.Evictions != 992 || calls.Load() != 1000 {
+		t.Errorf("evictions %d, computes %d; want 992, 1000", st.Evictions, calls.Load())
+	}
+}

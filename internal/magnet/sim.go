@@ -201,7 +201,7 @@ func (c Config) Simulate(g *graph.Graph) (*Result, error) {
 	}
 	r := &Result{Model: g.Name, Accel: c.Name, Layers: make([]LayerResult, 0, len(g.Layers))}
 	for i := range g.Layers {
-		lr := c.simulateLayer(&g.Layers[i])
+		lr := c.SimulateLayer(&g.Layers[i])
 		r.TotalSeconds += lr.Seconds
 		r.TotalEnergyPJ += lr.EnergyPJ
 		r.TotalMACs += lr.MACs
@@ -212,8 +212,11 @@ func (c Config) Simulate(g *graph.Graph) (*Result, error) {
 	return r, nil
 }
 
-// simulateLayer models the cycles, energy and DRAM traffic of one layer.
-func (c Config) simulateLayer(l *graph.Layer) LayerResult {
+// SimulateLayer models the cycles, energy and DRAM traffic of one layer.
+// It does not check the configuration (Simulate does): call Validate
+// first. Simulate's totals are these per-layer results summed in layer
+// order.
+func (c Config) SimulateLayer(l *graph.Layer) LayerResult {
 	lr := LayerResult{Name: l.Name, Kind: l.Kind, Module: l.Module, MACs: l.MACs()}
 
 	if ppuFused(l) {

@@ -351,8 +351,8 @@ func TestSimMonotoneQuick(t *testing.T) {
 			}
 		}
 		l1, l2 := mk(outC), mk(outC*2)
-		r1 := c.simulateLayer(&l1)
-		r2 := c.simulateLayer(&l2)
+		r1 := c.SimulateLayer(&l1)
+		r2 := c.SimulateLayer(&l2)
 		return r2.Cycles >= r1.Cycles && r2.EnergyPJ > r1.EnergyPJ && r1.EnergyPJ > 0 && r1.Cycles > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"strconv"
 
 	"vitdyn/internal/graph"
 )
@@ -121,7 +122,7 @@ func DETRModel(v DETRVariant, imgH, imgW int) (*graph.Graph, error) {
 	headDim := d / cfg.Heads
 	for b := 0; b < cfg.EncLayers; b++ {
 		add := func(leaf string, l graph.Layer) {
-			l.Name = fmt.Sprintf("enc.b%d.%s", b, leaf)
+			l.Name = "enc.b" + strconv.Itoa(b) + "." + leaf
 			l.Module = "encoder"
 			l.Stage = -1
 			l.Block = b
@@ -157,7 +158,7 @@ func DETRModel(v DETRVariant, imgH, imgW int) (*graph.Graph, error) {
 	q := cfg.Queries
 	for b := 0; b < cfg.DecLayers; b++ {
 		add := func(leaf string, l graph.Layer) {
-			l.Name = fmt.Sprintf("dec.b%d.%s", b, leaf)
+			l.Name = "dec.b" + strconv.Itoa(b) + "." + leaf
 			l.Module = "decoder"
 			l.Stage = -1
 			l.Block = b
@@ -199,7 +200,7 @@ func DETRModel(v DETRVariant, imgH, imgW int) (*graph.Graph, error) {
 		add("cross.residual", graph.Layer{Kind: graph.Add, Elems: q * d})
 
 		for m := 0; m < cfg.QueryMLPTerms; m++ {
-			add(fmt.Sprintf("querymlp%d", m), graph.Layer{Kind: graph.Linear, Tokens: q, InF: d, OutF: d})
+			add("querymlp"+strconv.Itoa(m), graph.Layer{Kind: graph.Linear, Tokens: q, InF: d, OutF: d})
 		}
 
 		add("ffn.fc1", graph.Layer{Kind: graph.Linear, Tokens: q, InF: d, OutF: cfg.FFNDim})
@@ -217,7 +218,7 @@ func DETRModel(v DETRVariant, imgH, imgW int) (*graph.Graph, error) {
 	})
 	for i, outF := range []int{d, d, 4} {
 		g.Add(graph.Layer{
-			Name: fmt.Sprintf("head.bbox%d", i), Kind: graph.Linear,
+			Name: "head.bbox" + strconv.Itoa(i), Kind: graph.Linear,
 			Module: "head", Stage: -1, Block: -1,
 			Tokens: q, InF: d, OutF: outF,
 		})

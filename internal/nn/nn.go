@@ -12,12 +12,12 @@
 // 65%, DecodeLinear0 1.3%, and so on).
 package nn
 
-import "fmt"
+import "strconv"
 
 // ceilDiv returns ceil(a/b) for positive integers.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // blockName tags a layer inside stage s, block b.
 func blockName(prefix string, s, b int, leaf string) string {
-	return fmt.Sprintf("%s.s%d.b%d.%s", prefix, s, b, leaf)
+	return prefix + ".s" + strconv.Itoa(s) + ".b" + strconv.Itoa(b) + "." + leaf
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"strconv"
 
 	"vitdyn/internal/graph"
 )
@@ -103,13 +104,13 @@ func SegFormer(cfg SegFormerConfig, imgH, imgW int) (*graph.Graph, error) {
 		outH := graph.ConvOut(inH, k, stride, pad)
 		outW := graph.ConvOut(inW, k, stride, pad)
 		g.Add(graph.Layer{
-			Name: fmt.Sprintf("enc.patchembed%d", s), Kind: graph.Conv2D,
+			Name: "enc.patchembed" + strconv.Itoa(s), Kind: graph.Conv2D,
 			Module: "encoder", Stage: s, Block: -1,
 			InC: inC, OutC: dim, KH: k, KW: k, SH: stride, SW: stride,
 			InH: inH, InW: inW, OutH: outH, OutW: outW, Groups: 1, HasBias: true,
 		})
 		g.Add(graph.Layer{
-			Name: fmt.Sprintf("enc.patchembed%d.norm", s), Kind: graph.LayerNorm,
+			Name: "enc.patchembed" + strconv.Itoa(s) + ".norm", Kind: graph.LayerNorm,
 			Module: "encoder", Stage: s, Block: -1,
 			Elems: outH * outW * dim, Channels: dim,
 		})
@@ -119,7 +120,7 @@ func SegFormer(cfg SegFormerConfig, imgH, imgW int) (*graph.Graph, error) {
 			addSegFormerBlock(g, cfg, s, b, tokens, sh[s], sw[s])
 		}
 		g.Add(graph.Layer{
-			Name: fmt.Sprintf("enc.s%d.norm", s), Kind: graph.LayerNorm,
+			Name: "enc.s" + strconv.Itoa(s) + ".norm", Kind: graph.LayerNorm,
 			Module: "encoder", Stage: s, Block: -1,
 			Elems: tokens * dim, Channels: dim,
 		})
@@ -198,13 +199,13 @@ func addSegFormerDecoder(g *graph.Graph, cfg SegFormerConfig, sh, sw [4]int) {
 	for s := 0; s < 4; s++ {
 		tokens := sh[s] * sw[s]
 		g.Add(graph.Layer{
-			Name: fmt.Sprintf("dec.linear%d", s), Kind: graph.Linear,
+			Name: "dec.linear" + strconv.Itoa(s), Kind: graph.Linear,
 			Module: "decoder", Stage: s, Block: -1,
 			Tokens: tokens, InF: cfg.EmbedDims[s], OutF: d,
 		})
 		if s > 0 {
 			g.Add(graph.Layer{
-				Name: fmt.Sprintf("dec.upsample%d", s), Kind: graph.Interpolate,
+				Name: "dec.upsample" + strconv.Itoa(s), Kind: graph.Interpolate,
 				Module: "decoder", Stage: s, Block: -1,
 				Elems: h0 * w0 * d,
 			})

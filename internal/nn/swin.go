@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"strconv"
 
 	"vitdyn/internal/graph"
 )
@@ -109,12 +110,12 @@ func Swin(cfg SwinConfig, imgH, imgW int) (*graph.Graph, error) {
 			// project to 2C with a linear layer.
 			prevTokens := sh[s] * sw[s] // after 2x2 grouping
 			g.Add(graph.Layer{
-				Name: fmt.Sprintf("enc.merge%d", s), Kind: graph.Linear,
+				Name: "enc.merge" + strconv.Itoa(s), Kind: graph.Linear,
 				Module: "encoder", Stage: s, Block: -1,
 				Tokens: prevTokens, InF: 4 * dims[s-1], OutF: dims[s],
 			})
 			g.Add(graph.Layer{
-				Name: fmt.Sprintf("enc.merge%d.norm", s), Kind: graph.LayerNorm,
+				Name: "enc.merge" + strconv.Itoa(s) + ".norm", Kind: graph.LayerNorm,
 				Module: "encoder", Stage: s, Block: -1,
 				Elems: prevTokens * 4 * dims[s-1], Channels: 4 * dims[s-1],
 			})
@@ -126,7 +127,7 @@ func Swin(cfg SwinConfig, imgH, imgW int) (*graph.Graph, error) {
 	// Per-stage output norms feeding the decoder.
 	for s := 0; s < 4; s++ {
 		g.Add(graph.Layer{
-			Name: fmt.Sprintf("enc.outnorm%d", s), Kind: graph.LayerNorm,
+			Name: "enc.outnorm" + strconv.Itoa(s), Kind: graph.LayerNorm,
 			Module: "encoder", Stage: s, Block: -1,
 			Elems: sh[s] * sw[s] * dims[s], Channels: dims[s],
 		})
@@ -218,14 +219,14 @@ func addUPerNetDecoder(g *graph.Graph, cfg SwinConfig, dims, sh, sw [4]int) {
 		pooledPixels += sc * sc
 	}
 	for _, sc := range cfg.PoolScales {
-		dec(fmt.Sprintf("psp.pool%d", sc), graph.Layer{Kind: graph.Pool, Elems: h3 * w3 * dims[3]})
-		dec(fmt.Sprintf("psp.conv%d", sc), graph.Layer{
+		dec("psp.pool"+strconv.Itoa(sc), graph.Layer{Kind: graph.Pool, Elems: h3 * w3 * dims[3]})
+		dec("psp.conv"+strconv.Itoa(sc), graph.Layer{
 			Kind: graph.Conv2D,
 			InC:  dims[3], OutC: ch, KH: 1, KW: 1, SH: 1, SW: 1,
 			InH: sc, InW: sc, OutH: sc, OutW: sc, Groups: 1,
 		})
-		dec(fmt.Sprintf("psp.bn%d", sc), graph.Layer{Kind: graph.BatchNorm, Elems: sc * sc * ch, Channels: ch})
-		dec(fmt.Sprintf("psp.up%d", sc), graph.Layer{Kind: graph.Interpolate, Elems: h3 * w3 * ch})
+		dec("psp.bn"+strconv.Itoa(sc), graph.Layer{Kind: graph.BatchNorm, Elems: sc * sc * ch, Channels: ch})
+		dec("psp.up"+strconv.Itoa(sc), graph.Layer{Kind: graph.Interpolate, Elems: h3 * w3 * ch})
 	}
 	pspCat := dims[3] + len(cfg.PoolScales)*ch
 	dec("psp.concat", graph.Layer{Kind: graph.Concat, Elems: h3 * w3 * pspCat})
@@ -239,26 +240,26 @@ func addUPerNetDecoder(g *graph.Graph, cfg SwinConfig, dims, sh, sw [4]int) {
 
 	// --- Lateral convs + top-down pathway + FPN convs (stages 0..2) ---
 	for s := 0; s < 3; s++ {
-		decS(fmt.Sprintf("lateral%d", s), s, graph.Layer{
+		decS("lateral"+strconv.Itoa(s), s, graph.Layer{
 			Kind: graph.Conv2D,
 			InC:  dims[s], OutC: ch, KH: 1, KW: 1, SH: 1, SW: 1,
 			InH: sh[s], InW: sw[s], OutH: sh[s], OutW: sw[s], Groups: 1,
 		})
-		decS(fmt.Sprintf("lateral%d.bn", s), s, graph.Layer{Kind: graph.BatchNorm, Elems: sh[s] * sw[s] * ch, Channels: ch})
-		decS(fmt.Sprintf("topdown%d.up", s), s, graph.Layer{Kind: graph.Interpolate, Elems: sh[s] * sw[s] * ch})
-		decS(fmt.Sprintf("topdown%d.add", s), s, graph.Layer{Kind: graph.Add, Elems: sh[s] * sw[s] * ch})
-		decS(fmt.Sprintf("fpn%d", s), s, graph.Layer{
+		decS("lateral"+strconv.Itoa(s)+".bn", s, graph.Layer{Kind: graph.BatchNorm, Elems: sh[s] * sw[s] * ch, Channels: ch})
+		decS("topdown"+strconv.Itoa(s)+".up", s, graph.Layer{Kind: graph.Interpolate, Elems: sh[s] * sw[s] * ch})
+		decS("topdown"+strconv.Itoa(s)+".add", s, graph.Layer{Kind: graph.Add, Elems: sh[s] * sw[s] * ch})
+		decS("fpn"+strconv.Itoa(s), s, graph.Layer{
 			Kind: graph.Conv2D,
 			InC:  ch, OutC: ch, KH: 3, KW: 3, SH: 1, SW: 1,
 			InH: sh[s], InW: sw[s], OutH: sh[s], OutW: sw[s], Groups: 1,
 		})
-		decS(fmt.Sprintf("fpn%d.bn", s), s, graph.Layer{Kind: graph.BatchNorm, Elems: sh[s] * sw[s] * ch, Channels: ch})
-		decS(fmt.Sprintf("fpn%d.relu", s), s, graph.Layer{Kind: graph.ReLU, Elems: sh[s] * sw[s] * ch})
+		decS("fpn"+strconv.Itoa(s)+".bn", s, graph.Layer{Kind: graph.BatchNorm, Elems: sh[s] * sw[s] * ch, Channels: ch})
+		decS("fpn"+strconv.Itoa(s)+".relu", s, graph.Layer{Kind: graph.ReLU, Elems: sh[s] * sw[s] * ch})
 	}
 
 	// --- Fuse all levels at stage-0 resolution ---
 	for s := 1; s < 4; s++ {
-		decS(fmt.Sprintf("fuse.up%d", s), s, graph.Layer{Kind: graph.Interpolate, Elems: h0 * w0 * ch})
+		decS("fuse.up"+strconv.Itoa(s), s, graph.Layer{Kind: graph.Interpolate, Elems: h0 * w0 * ch})
 	}
 	dec("fuse.concat", graph.Layer{Kind: graph.Concat, Elems: h0 * w0 * 4 * ch})
 	dec("fpnbottleneck", graph.Layer{

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"strconv"
 
 	"vitdyn/internal/graph"
 )
@@ -49,7 +50,7 @@ func ViT(cfg ViTConfig, imgH, imgW int) (*graph.Graph, error) {
 	tokens++ // class token
 	for b := 0; b < cfg.Depth; b++ {
 		add := func(leaf string, l graph.Layer) {
-			l.Name = fmt.Sprintf("enc.b%d.%s", b, leaf)
+			l.Name = "enc.b" + strconv.Itoa(b) + "." + leaf
 			l.Module = "encoder"
 			l.Stage = -1
 			l.Block = b

@@ -7,8 +7,10 @@ package prune
 
 import (
 	"fmt"
+	"strconv"
 
 	"vitdyn/internal/graph"
+	"vitdyn/internal/lru"
 	"vitdyn/internal/nn"
 )
 
@@ -59,9 +61,68 @@ func (p SegFormerPath) Validate(cfg nn.SegFormerConfig) error {
 	return nil
 }
 
-// ApplySegFormer builds the pruned SegFormer graph for the path.
-//
-// Backward propagation of skipped computation follows Section V-A:
+// ApplySegFormer builds the pruned SegFormer graph for the path: the
+// compiled full model (see CompileSegFormer) copied and patched by the
+// path's plan. An invalid path fails before the model is compiled.
+func ApplySegFormer(cfg nn.SegFormerConfig, imgH, imgW int, p SegFormerPath) (*graph.Graph, error) {
+	if err := p.Validate(cfg); err != nil {
+		return nil, err
+	}
+	t, err := CompileSegFormer(cfg, imgH, imgW)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := t.Plan(p)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Graph(), nil
+}
+
+// SegFormerTemplate is a full SegFormer compiled for pricing its pruning
+// paths: the graph template plus the positions of the six decoder layers
+// a path can patch.
+type SegFormerTemplate struct {
+	cfg                                   nn.SegFormerConfig
+	t                                     *graph.Template
+	linear0, concat, fuse, bn, relu, pred int
+}
+
+// CompileSegFormer returns the compiled full model for cfg at imgH x imgW,
+// building it on first use and caching it for later calls.
+func CompileSegFormer(cfg nn.SegFormerConfig, imgH, imgW int) (*SegFormerTemplate, error) {
+	key := fmt.Sprintf("segformer|%v|%dx%d", cfg, imgH, imgW)
+	t, err := templates.GetOrCompute(key, nil, func() (any, error) {
+		g, err := nn.SegFormer(cfg, imgH, imgW)
+		if err != nil {
+			return nil, err
+		}
+		gt, err := graph.Compile(g)
+		if err != nil {
+			return nil, err
+		}
+		st := &SegFormerTemplate{cfg: cfg, t: gt}
+		for _, f := range []struct {
+			pos  *int
+			name string
+		}{
+			{&st.linear0, "dec.linear0"}, {&st.concat, "dec.concat"}, {&st.fuse, "dec.conv2dfuse"},
+			{&st.bn, "dec.fuse.bn"}, {&st.relu, "dec.fuse.relu"}, {&st.pred, "dec.conv2dpred"},
+		} {
+			if *f.pos, err = layerPos(gt, f.name); err != nil {
+				return nil, err
+			}
+		}
+		return st, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t.(*SegFormerTemplate), nil
+}
+
+// Plan derives the path's plan over the full model. Backward propagation
+// of skipped computation follows Section V-A:
 //
 //   - Bypassed encoder blocks disappear entirely (the paper bypasses the
 //     trailing blocks of a stage; which blocks are removed does not change
@@ -71,61 +132,57 @@ func (p SegFormerPath) Validate(cfg nn.SegFormerConfig) error {
 //     accuracy (the paper tested first/last/smallest), and encoder-side
 //     computation cannot be skipped because every encoder stage feeds the
 //     next; the decode linears keep running in full, matching the paper's
-//     Table III FLOPs accounting.
+//     Table III FLOPs accounting (B2f: 60% fewer FLOPs with Conv2DFuse
+//     under 25% of them).
 //   - Conv2DPred input channels propagate backwards through the decoder
 //     (ReLU, BatchNorm and Conv2DFuse outputs shrink with them), since
 //     decoder layers have a single consumer.
-func ApplySegFormer(cfg nn.SegFormerConfig, imgH, imgW int, p SegFormerPath) (*graph.Graph, error) {
-	if err := p.Validate(cfg); err != nil {
+//   - DecodeLinear0 input channels shrink the decoder layer itself only
+//     (stage-0 output also feeds stage 1).
+func (st *SegFormerTemplate) Plan(p SegFormerPath) (*graph.Plan, error) {
+	if err := p.Validate(st.cfg); err != nil {
 		return nil, err
 	}
-	pruned := cfg
-	pruned.Depths = p.EncoderBlocks
-	g, err := nn.SegFormer(pruned, imgH, imgW)
-	if err != nil {
-		return nil, err
-	}
-	g.Name = fmt.Sprintf("%s[%s]", g.Name, p.Label)
-
-	d := cfg.DecoderDim
-
-	// --- Conv2DPred pruning propagates backwards through the decoder. ---
+	d := st.cfg.DecoderDim
 	fuseOut := p.PredInCh
-	if pred := g.Find("dec.conv2dpred"); pred != nil {
-		pred.InC = p.PredInCh
-	}
-	if bn := g.Find("dec.fuse.bn"); bn != nil {
-		bn.Elems = bn.Elems / d * fuseOut
-		bn.Channels = fuseOut
-	}
-	if relu := g.Find("dec.fuse.relu"); relu != nil {
-		relu.Elems = relu.Elems / d * fuseOut
-	}
+	var buf [6]graph.Patch
+	patches := patchIfChanged(st.t, buf[:0], st.pred, func(l *graph.Layer) { l.InC = p.PredInCh })
+	patches = patchIfChanged(st.t, patches, st.bn, func(l *graph.Layer) {
+		l.Elems = l.Elems / d * fuseOut
+		l.Channels = fuseOut
+	})
+	patches = patchIfChanged(st.t, patches, st.relu, func(l *graph.Layer) { l.Elems = l.Elems / d * fuseOut })
+	patches = patchIfChanged(st.t, patches, st.fuse, func(l *graph.Layer) {
+		l.InC = p.FuseInCh
+		l.OutC = fuseOut
+	})
+	patches = patchIfChanged(st.t, patches, st.concat, func(l *graph.Layer) { l.Elems = l.Elems / (4 * d) * p.FuseInCh })
+	patches = patchIfChanged(st.t, patches, st.linear0, func(l *graph.Layer) { l.InF = min(l.InF, p.DecodeLinear0Ch) })
+	return st.t.Plan(st.t.Name()+"["+p.Label+"]", p.EncoderBlocks[:], patches)
+}
 
-	// --- Conv2DFuse input pruning. ---
-	// The fuse convolution reads a trailing-pruned subset of the
-	// concatenated per-stage features. The decode linears still execute in
-	// full: their outputs also parameterize the kept channels, and (as the
-	// paper notes) encoder-side computation cannot be skipped because every
-	// encoder stage feeds the next. This matches the paper's Table III
-	// accounting (B2f: 60% fewer FLOPs with Conv2DFuse under 25% of them).
-	if fuse := g.Find("dec.conv2dfuse"); fuse != nil {
-		fuse.InC = p.FuseInCh
-		fuse.OutC = fuseOut
-	}
-	if cat := g.Find("dec.concat"); cat != nil {
-		cat.Elems = cat.Elems / (4 * d) * p.FuseInCh
-	}
+// templates caches compiled full models by configuration and input size.
+var templates = lru.New[string, any](64, func(k string) uint64 { return lru.HashString(lru.HashSeed, k) })
 
-	// --- DecodeLinear0 input channels. ---
-	if dl0 := g.Find("dec.linear0"); dl0 != nil && p.DecodeLinear0Ch < dl0.InF {
-		dl0.InF = p.DecodeLinear0Ch
+// layerPos resolves a layer a path patches to its template position.
+func layerPos(t *graph.Template, name string) (int, error) {
+	i, ok := t.Pos(name)
+	if !ok {
+		return 0, fmt.Errorf("prune: model %q has no layer %q", t.Name(), name)
 	}
+	return i, nil
+}
 
-	if err := g.Validate(); err != nil {
-		return nil, err
+// patchIfChanged appends a patch replacing the template layer at pos with
+// a copy modified by edit — unless edit leaves it unchanged, so a full
+// path carries no patches at all.
+func patchIfChanged(t *graph.Template, patches []graph.Patch, pos int, edit func(*graph.Layer)) []graph.Patch {
+	l := *t.Layer(pos)
+	edit(&l)
+	if l == *t.Layer(pos) {
+		return patches
 	}
-	return g, nil
+	return append(patches, graph.Patch{Pos: pos, Layer: l})
 }
 
 // SwinPath is a Swin execution-path configuration: blocks kept in stages 2
@@ -162,51 +219,95 @@ func (p SwinPath) Validate(cfg nn.SwinConfig) error {
 	return nil
 }
 
-// ApplySwin builds the pruned Swin graph. Pruned fpn_bottleneck input
-// channels remove trailing slices of the concatenated FPN levels; a fully
-// removed level drops its upsample (the FPN convs still run — their outputs
-// feed the multi-scale auxiliary paths).
+// ApplySwin builds the pruned Swin graph: the compiled full model (see
+// CompileSwin) copied and patched by the path's plan. An invalid path
+// fails before the model is compiled.
 func ApplySwin(cfg nn.SwinConfig, imgH, imgW int, p SwinPath) (*graph.Graph, error) {
 	if err := p.Validate(cfg); err != nil {
 		return nil, err
 	}
-	pruned := cfg
-	pruned.Depths[2] = p.Stage2Blocks
-	pruned.Depths[3] = p.Stage3Blocks
-	g, err := nn.Swin(pruned, imgH, imgW)
+	t, err := CompileSwin(cfg, imgH, imgW)
 	if err != nil {
 		return nil, err
 	}
-	g.Name = fmt.Sprintf("%s[%s]", g.Name, p.Label)
-
-	ch := cfg.DecoderChannels
-	if fpn := g.Find("dec.fpnbottleneck"); fpn != nil {
-		fpn.InC = p.FPNBottleneckCh
-	}
-	if cat := g.Find("dec.fuse.concat"); cat != nil {
-		cat.Elems = cat.Elems / (4 * ch) * p.FPNBottleneckCh
-	}
-	// Trailing concat slices come from the deepest levels; drop upsamples of
-	// fully pruned levels.
-	for s := 3; s >= 1; s-- {
-		if p.FPNBottleneckCh <= s*ch {
-			name := fmt.Sprintf("dec.fuse.up%d", s)
-			keep := g.Layers[:0]
-			for i := range g.Layers {
-				if g.Layers[i].Name == name {
-					continue
-				}
-				keep = append(keep, g.Layers[i])
-			}
-			g.Layers = keep
-		}
-	}
-
-	if err := g.Validate(); err != nil {
+	plan, err := t.Plan(p)
+	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	return plan.Graph(), nil
 }
+
+// SwinTemplate is a full Swin + UPerNet model compiled for pricing its
+// pruning paths: the graph template plus the positions of the fusion
+// layers a path can patch or drop.
+type SwinTemplate struct {
+	cfg          nn.SwinConfig
+	t            *graph.Template
+	fuseUp       [4]int // fuseUp[s]: dec.fuse.up{s}, s = 1..3
+	concat, fpnb int
+}
+
+// CompileSwin returns the compiled full model for cfg at imgH x imgW,
+// building it on first use and caching it for later calls.
+func CompileSwin(cfg nn.SwinConfig, imgH, imgW int) (*SwinTemplate, error) {
+	key := fmt.Sprintf("swin|%v|%dx%d", cfg, imgH, imgW)
+	t, err := templates.GetOrCompute(key, nil, func() (any, error) {
+		g, err := nn.Swin(cfg, imgH, imgW)
+		if err != nil {
+			return nil, err
+		}
+		gt, err := graph.Compile(g)
+		if err != nil {
+			return nil, err
+		}
+		st := &SwinTemplate{cfg: cfg, t: gt}
+		for s := 1; s < 4; s++ {
+			if st.fuseUp[s], err = layerPos(gt, "dec.fuse.up"+strconv.Itoa(s)); err != nil {
+				return nil, err
+			}
+		}
+		if st.concat, err = layerPos(gt, "dec.fuse.concat"); err != nil {
+			return nil, err
+		}
+		if st.fpnb, err = layerPos(gt, "dec.fpnbottleneck"); err != nil {
+			return nil, err
+		}
+		return st, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t.(*SwinTemplate), nil
+}
+
+// Plan derives the path's plan over the full model. Pruned fpn_bottleneck
+// input channels remove trailing slices of the concatenated FPN levels; a
+// fully removed level drops its upsample (the FPN convs still run — their
+// outputs feed the multi-scale auxiliary paths).
+func (st *SwinTemplate) Plan(p SwinPath) (*graph.Plan, error) {
+	if err := p.Validate(st.cfg); err != nil {
+		return nil, err
+	}
+	ch := st.cfg.DecoderChannels
+	var buf [5]graph.Patch
+	patches := patchIfChanged(st.t, buf[:0], st.fpnb, func(l *graph.Layer) { l.InC = p.FPNBottleneckCh })
+	patches = patchIfChanged(st.t, patches, st.concat, func(l *graph.Layer) { l.Elems = l.Elems / (4 * ch) * p.FPNBottleneckCh })
+	// Trailing concat slices come from the deepest levels; drop upsamples
+	// of fully pruned levels.
+	for s := 3; s >= 1; s-- {
+		if p.FPNBottleneckCh <= s*ch {
+			patches = append(patches, graph.Patch{Pos: st.fuseUp[s], Drop: true})
+		}
+	}
+	keep := [4]int{st.cfg.Depths[0], st.cfg.Depths[1], p.Stage2Blocks, p.Stage3Blocks}
+	return st.t.Plan(st.t.Name()+"["+p.Label+"]", keep[:], patches)
+}
+
+// Default channel steps of the pruning sweeps, used for a step <= 0.
+const (
+	DefaultSegFormerStep = 128
+	DefaultSwinStep      = 256
+)
 
 // SegFormerSweepSeq enumerates the joint sweep the paper explores for
 // Fig. 10 — trailing-block bypass per stage combined with
@@ -217,7 +318,7 @@ func ApplySwin(cfg nn.SwinConfig, imgH, imgW int, p SwinPath) (*graph.Graph, err
 // deterministic; the generator stops when yield returns false.
 func SegFormerSweepSeq(cfg nn.SegFormerConfig, step int) func(yield func(SegFormerPath) bool) {
 	if step <= 0 {
-		step = 128
+		step = DefaultSegFormerStep
 	}
 	return func(yield func(SegFormerPath) bool) {
 		full := FullSegFormerPath(cfg)
@@ -273,7 +374,7 @@ func SegFormerSweep(cfg nn.SegFormerConfig, step int) []SegFormerPath {
 // reduction as a push generator (see SegFormerSweepSeq).
 func SwinSweepSeq(cfg nn.SwinConfig, step int) func(yield func(SwinPath) bool) {
 	if step <= 0 {
-		step = 256
+		step = DefaultSwinStep
 	}
 	return func(yield func(SwinPath) bool) {
 		for s2 := cfg.Depths[2]; s2 >= cfg.Depths[2]-3 && s2 >= 1; s2-- {

@@ -356,3 +356,47 @@ func BenchmarkCatalogCacheParallel(b *testing.B) {
 		})
 	}
 }
+
+// TestCatalogSpecsCanonicalizePerFamily: specs that differ only in
+// fields their family ignores, or in spelling out the family-default
+// step, are one catalog and share one catalog-cache entry; a negative
+// step is rejected on every endpoint instead of being built.
+func TestCatalogSpecsCanonicalizePerFamily(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	for _, q := range []string{
+		"family=ofa&backend=flops",
+		"family=ofa&step=9&backend=flops",
+		"family=ofa&variant=Base&dataset=City&backend=flops",
+		"family=swin&step=0&backend=flops",
+		"family=swin&step=256&dataset=City&backend=flops",
+	} {
+		if status, body := get(t, ts.URL+"/v1/catalog?"+q); status != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", q, status, body)
+		}
+	}
+	if cc := srv.CatalogCache().Stats(); cc.Misses != 2 || cc.Hits != 3 {
+		t.Errorf("catalog cache %+v, want 2 misses (ofa, swin) and 3 hits", cc)
+	}
+
+	if status, body := get(t, ts.URL+"/v1/catalog?family=swin&step=-3&backend=flops"); status != http.StatusBadRequest || !strings.Contains(string(body), "step=-3") {
+		t.Errorf("negative step on /v1/catalog: status %d, body %s", status, body)
+	}
+	status, body := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{
+		Catalog: CatalogRequest{Family: "ofa", Step: -1, Backend: "flops"},
+		Trace:   &rdd.TraceSpec{Kind: "values", Values: []float64{1, 2, 3}},
+	})
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "step=-1") {
+		t.Errorf("negative step on /v1/replay: status %d, body %s", status, body)
+	}
+	status, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Requests: []CatalogRequest{
+		{Family: "ofa", Backend: "flops"},
+		{Family: "ofa", Step: -2, Backend: "flops"},
+	}})
+	var br BatchResponse
+	if err := json.Unmarshal(body, &br); status != http.StatusOK || err != nil || len(br.Results) != 2 {
+		t.Fatalf("batch: status %d, err %v, body %s", status, err, body)
+	}
+	if br.Results[0].Catalog == nil || !strings.Contains(br.Results[1].Error, "step=-2") {
+		t.Errorf("batch results %+v, want a catalog then a step error", br.Results)
+	}
+}

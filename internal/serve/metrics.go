@@ -176,6 +176,7 @@ func (s *Server) initMetrics(routes []string) {
 	counter("vitdyn_stream_prefiltered_total", "Candidates skipped by the FLOPs-proxy admission filter.", s.streamPrefiltered.Load)
 	counter("vitdyn_stream_costed_total", "Candidates priced on a backend.", s.streamCosted.Load)
 	counter("vitdyn_stream_admitted_total", "Costed candidates admitted to a frontier.", s.streamAdmitted.Load)
+	counter("vitdyn_stream_materialized_total", "Candidates whose graph was built (0 when every candidate was priced from its plan).", s.streamMaterial.Load)
 	gauge("vitdyn_stream_prefilter_ratio", "Fraction of generated candidates the admission filter saved (0 before traffic).",
 		func() float64 { return s.StreamStats().PrefilterRate() })
 

@@ -23,6 +23,7 @@ import (
 	"vitdyn/internal/magnet"
 	"vitdyn/internal/nn"
 	"vitdyn/internal/obs"
+	"vitdyn/internal/prune"
 	"vitdyn/internal/rdd"
 )
 
@@ -148,6 +149,7 @@ type Server struct {
 	streamPrefiltered atomic.Int64
 	streamCosted      atomic.Int64
 	streamAdmitted    atomic.Int64
+	streamMaterial    atomic.Int64 // candidates whose graph was built
 
 	// server-side RDD replay totals (/v1/replay)
 	replays          atomic.Int64 // replay requests served
@@ -226,16 +228,18 @@ func (s *Server) addStreamStats(st engine.StreamStats) {
 	s.streamPrefiltered.Add(st.Prefiltered)
 	s.streamCosted.Add(st.Costed)
 	s.streamAdmitted.Add(st.Admitted)
+	s.streamMaterial.Add(st.Materialized)
 }
 
 // StreamStats returns the accumulated streaming-pipeline counters of
 // every catalog this server has built.
 func (s *Server) StreamStats() engine.StreamStats {
 	return engine.StreamStats{
-		Generated:   s.streamGenerated.Load(),
-		Prefiltered: s.streamPrefiltered.Load(),
-		Costed:      s.streamCosted.Load(),
-		Admitted:    s.streamAdmitted.Load(),
+		Generated:    s.streamGenerated.Load(),
+		Prefiltered:  s.streamPrefiltered.Load(),
+		Costed:       s.streamCosted.Load(),
+		Admitted:     s.streamAdmitted.Load(),
+		Materialized: s.streamMaterial.Load(),
 	}
 }
 
@@ -772,15 +776,36 @@ type CatalogRequest struct {
 	Workers int    `json:"workers,omitempty"` // per-request worker budget (0 = server default)
 }
 
-// withDefaults resolves the omitted spec fields — dataset ADE, variant
-// Tiny — so every consumer (candidate generation, cache keys, canonical
-// response identities) sees one canonical form.
+// withDefaults canonicalizes a spec so every consumer (candidate
+// generation, cache keys, canonical response identities) sees one form
+// per distinct catalog: fields the family ignores are zeroed, omitted
+// ones resolved (dataset ADE, variant Tiny), and an explicit
+// family-default step folded to 0. A negative step is left as given:
+// Seq rejects it, and it must not share a key with a valid spec.
 func (cr CatalogRequest) withDefaults() CatalogRequest {
-	if cr.Dataset == "" {
-		cr.Dataset = "ADE"
+	step := cr.Step
+	switch cr.Family {
+	case "segformer", "segformer-retrained":
+		cr.Variant = ""
+		if cr.Dataset == "" {
+			cr.Dataset = "ADE"
+		}
+		if cr.Family == "segformer-retrained" || cr.Step == prune.DefaultSegFormerStep {
+			cr.Step = 0
+		}
+	case "swin":
+		cr.Dataset = ""
+		if cr.Variant == "" {
+			cr.Variant = "Tiny"
+		}
+		if cr.Step == prune.DefaultSwinStep {
+			cr.Step = 0
+		}
+	case "swin-retrained", "ofa":
+		cr.Dataset, cr.Variant, cr.Step = "", "", 0
 	}
-	if cr.Variant == "" {
-		cr.Variant = "Tiny"
+	if step < 0 {
+		cr.Step = step
 	}
 	return cr
 }
@@ -789,6 +814,9 @@ func (cr CatalogRequest) withDefaults() CatalogRequest {
 // the core builders — the streaming form the server feeds into
 // engine.CatalogFromSeq.
 func (cr CatalogRequest) Seq() (string, engine.CandidateSeq, error) {
+	if cr.Step < 0 {
+		return "", nil, fmt.Errorf("bad step=%d: want a channel step >= 0 (0 = family default)", cr.Step)
+	}
 	cr = cr.withDefaults()
 	switch cr.Family {
 	case "segformer":

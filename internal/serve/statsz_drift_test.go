@@ -66,6 +66,7 @@ var statszMetricFor = map[string]string{
 	"stream.prefiltered":    "vitdyn_stream_prefiltered_total",
 	"stream.costed":         "vitdyn_stream_costed_total",
 	"stream.admitted":       "vitdyn_stream_admitted_total",
+	"stream.materialized":   "vitdyn_stream_materialized_total",
 	"stream.prefilter_rate": "vitdyn_stream_prefilter_ratio",
 
 	"replay.replays":    "vitdyn_replay_requests_total",

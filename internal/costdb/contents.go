@@ -12,8 +12,9 @@ import (
 // out for size. A map of string-keyed value slices cost ~200 bytes per
 // entry and, at a few hundred thousand entries, most of a daemon's
 // memory; here a one-value entry is ~26 bytes, holds no pointers and
-// lives off the Go heap (see allocOffHeap), so the garbage collector
-// neither scans it nor doubles it:
+// lives off the Go heap where anonymous mappings are available (see
+// alloc), so the garbage collector neither scans it nor lets it double
+// the heap goal:
 //
 //   - records are numbered in insert order — the delta cursor space —
 //     and stored as parallel chunked arrays (signature, value, column
@@ -23,7 +24,8 @@ import (
 //   - (backend, epoch) pairs are interned as columns;
 //   - index is an open-addressing table of record numbers.
 //
-// Chunks are never released: value slices handed out alias them.
+// Value slices the table returns alias it: Persistent copies them before
+// they leave its lock, so release can unmap the table whole on Close.
 // contents is not safe for concurrent use; Persistent guards it.
 type contents struct {
 	cols   []column
@@ -37,6 +39,9 @@ type contents struct {
 
 	nrecs, live int
 	index       []uint32 // record number + 1; 0 = empty slot
+
+	regions     [][]byte // the mappings behind the chunks, for release
+	indexRegion []byte   // the mapping behind index, if it has one
 }
 
 // column is one interned (backend, epoch) pair.
@@ -51,15 +56,27 @@ const (
 	maxCols    = 1<<16 - 1
 )
 
-// chunked is an append-only array in fixed-size off-heap chunks.
+// chunked is an append-only array in fixed-size chunks.
 type chunked[T any] struct{ chunks [][]T }
+
+// alloc returns n zeroed values of the pointer-free type T, mapped
+// outside the Go heap and recorded for release, or on the heap when the
+// mapping fails.
+func alloc[T any](c *contents, n int) []T {
+	s, region := mapAnon[T](n)
+	if region == nil {
+		return make([]T, n)
+	}
+	c.regions = append(c.regions, region)
+	return s
+}
 
 func (a *chunked[T]) at(i int) *T { return &a.chunks[i>>chunkShift][i&(1<<chunkShift-1)] }
 
 // ensure makes element i addressable.
-func (a *chunked[T]) ensure(i int) {
+func (a *chunked[T]) ensure(c *contents, i int) {
 	if i>>chunkShift == len(a.chunks) {
-		a.chunks = append(a.chunks, allocOffHeap[T](1<<chunkShift))
+		a.chunks = append(a.chunks, alloc[T](c, 1<<chunkShift))
 	}
 }
 
@@ -147,9 +164,9 @@ func (c *contents) put(backend string, epoch, sig uint64, vals []float64, overwr
 	switch {
 	case isNew:
 		i = c.nrecs
-		c.sigs.ensure(i)
-		c.vals.ensure(i)
-		c.meta.ensure(i)
+		c.sigs.ensure(c, i)
+		c.vals.ensure(c, i)
+		c.meta.ensure(c, i)
 		c.nrecs++
 		c.live++
 		c.index[s] = uint32(c.nrecs)
@@ -173,7 +190,7 @@ func (c *contents) store(vals []float64) int {
 		c.nvals += arenaChunk - c.nvals%arenaChunk
 	}
 	if c.nvals/arenaChunk == len(c.arena) {
-		c.arena = append(c.arena, allocOffHeap[float64](arenaChunk))
+		c.arena = append(c.arena, alloc[float64](c, arenaChunk))
 	}
 	off := c.nvals
 	copy(c.arena[off/arenaChunk][off%arenaChunk:], vals)
@@ -181,17 +198,34 @@ func (c *contents) store(vals []float64) int {
 	return off
 }
 
-// reindex rebuilds the index over the live records with size slots.
+// reindex rebuilds the index over the live records with size slots. The
+// index never leaves the table, so its old mapping goes at once.
 func (c *contents) reindex(size int) {
-	if c.index != nil {
-		freeOffHeap(c.index)
+	if c.indexRegion != nil {
+		unmapAnon(c.indexRegion)
 	}
-	c.index = allocOffHeap[uint32](size)
+	var index []uint32
+	if index, c.indexRegion = mapAnon[uint32](size); c.indexRegion == nil {
+		index = make([]uint32, size)
+	}
+	c.index = index
 	for i := 0; i < c.nrecs; i++ {
 		if m := *c.meta.at(i); m&0xffff != 0 {
 			c.index[c.slot(uint16(m>>16), *c.sigs.at(i))] = uint32(i + 1)
 		}
 	}
+}
+
+// release unmaps the table's memory. Its counts stay readable; lookups
+// find nothing, and nothing may read a record afterwards.
+func (c *contents) release() {
+	for _, r := range c.regions {
+		unmapAnon(r)
+	}
+	if c.indexRegion != nil {
+		unmapAnon(c.indexRegion)
+	}
+	*c = contents{colIdx: map[column]uint16{}, nrecs: c.nrecs, live: c.live}
 }
 
 // retire drops every entry whose (backend, epoch) stale reports, and

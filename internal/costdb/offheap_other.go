@@ -2,8 +2,8 @@
 
 package costdb
 
-// allocOffHeap allocates on the heap where anonymous mappings are not
-// available (see offheap_unix.go).
-func allocOffHeap[T any](n int) []T { return make([]T, n) }
+// mapAnon always fails where anonymous mappings are not available, so
+// the table lives on the heap (see offheap_unix.go).
+func mapAnon[T any](int) ([]T, []byte) { return nil, nil }
 
-func freeOffHeap[T any]([]T) {}
+func unmapAnon([]byte) {}

@@ -7,23 +7,25 @@ import (
 	"unsafe"
 )
 
-// allocOffHeap returns n zeroed values of the pointer-free type T in
-// anonymous memory mapped outside the Go heap: the garbage collector
-// neither scans it nor counts it towards its heap goal, so a large table
-// costs its own size in RSS instead of up to twice that. It falls back
-// to the heap when the mapping fails. T must contain no pointers.
-func allocOffHeap[T any](n int) []T {
-	size := n * int(unsafe.Sizeof(*new(T)))
-	b, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+// The system calls behind mapAnon and unmapAnon; tests replace them to
+// refuse mappings and to check what is unmapped.
+var (
+	mmap   = syscall.Mmap
+	munmap = syscall.Munmap
+)
+
+// mapAnon returns n zeroed values of the pointer-free type T in a fresh
+// anonymous mapping outside the Go heap, plus the mapping itself for
+// unmapAnon. Both are nil when the mapping fails. T must contain no
+// pointers: the garbage collector does not scan the mapping.
+func mapAnon[T any](n int) ([]T, []byte) {
+	region, err := mmap(-1, 0, n*int(unsafe.Sizeof(*new(T))), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
-		return make([]T, n)
+		return nil, nil
 	}
-	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(region))), n), region
 }
 
-// freeOffHeap unmaps a slice allocOffHeap returned, whole; nothing may
-// refer into it afterwards. A heap fallback is left to the collector.
-func freeOffHeap[T any](s []T) {
-	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
-	_ = syscall.Munmap(b) // EINVAL for a heap fallback: nothing to do
-}
+// unmapAnon releases a mapping mapAnon returned; nothing may refer into
+// it afterwards.
+func unmapAnon(region []byte) { _ = munmap(region) }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +139,7 @@ func Open(dir string, inner engine.CostCache, opts Options) (*Persistent, error)
 		}
 		f.Close()
 		if rerr != nil {
+			scratch.release()
 			return nil, fmt.Errorf("costdb: loading snapshot %s: %w", snapPath, rerr)
 		}
 		p.entries = scratch
@@ -149,6 +151,7 @@ func Open(dir string, inner engine.CostCache, opts Options) (*Persistent, error)
 		return err
 	})
 	if err != nil {
+		p.entries.release()
 		return nil, err
 	}
 	p.wal = wal
@@ -164,9 +167,10 @@ func Open(dir string, inner engine.CostCache, opts Options) (*Persistent, error)
 	for i := 0; i < p.entries.nrecs; i++ {
 		e, _ := p.entries.entry(i) // nothing is retired before the first compaction
 		if _, err := inner.GetOrComputeVector(e.Backend, e.Epoch, e.Sig, func() ([]float64, error) {
-			return e.Vals, nil
+			return slices.Clone(e.Vals), nil
 		}); err != nil {
 			p.wal.Close()
+			p.entries.release()
 			return nil, fmt.Errorf("costdb: pre-warming inner cache: %w", err)
 		}
 	}
@@ -186,6 +190,9 @@ func (p *Persistent) GetOrComputeVector(backend string, epoch, sig uint64, compu
 	return p.inner.GetOrComputeVector(backend, epoch, sig, func() ([]float64, error) {
 		p.mu.RLock()
 		vals, ok := p.entries.get(backend, epoch, sig)
+		if ok {
+			vals = slices.Clone(vals) // Close unmaps the table
+		}
 		p.mu.RUnlock()
 		if ok {
 			p.diskHits.Add(1)
@@ -322,8 +329,9 @@ func (p *Persistent) Compact() error {
 
 // Close compacts outstanding WAL records into a fresh snapshot — the
 // next boot loads one checksummed file and replays nothing — then closes
-// the store. Close is idempotent; a closed store rejects inserts but its
-// Stats remain readable.
+// the store and releases its in-memory contents. Close is idempotent; a
+// closed store rejects inserts and exports, computes what its inner
+// cache misses, and keeps its Stats readable.
 func (p *Persistent) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -338,6 +346,7 @@ func (p *Persistent) Close() error {
 		firstErr = fmt.Errorf("costdb: closing wal: %w", err)
 	}
 	p.closed = true
+	p.entries.release()
 	return firstErr
 }
 
@@ -346,17 +355,36 @@ func (p *Persistent) Close() error {
 // identical bytes, so export/import round-trips are byte-comparable.
 // The stream a fresh daemon imports is exactly what ExportTo writes.
 func (p *Persistent) ExportTo(w io.Writer) error {
-	// Copy the (small) entry headers out under the lock — their values
-	// alias the append-only arena — so a slow reader never holds up
-	// inserts.
+	// Copy the entries out under the lock, so a slow reader never holds
+	// up inserts.
 	p.mu.RLock()
+	if p.closed {
+		p.mu.RUnlock()
+		return fmt.Errorf("costdb: store is closed")
+	}
 	entries := make([]Entry, 0, p.entries.live)
 	_ = p.entries.sorted(func(e Entry) error {
 		entries = append(entries, e)
 		return nil
 	})
+	detach(entries)
 	p.mu.RUnlock()
 	return WriteSnapshot(w, entries)
+}
+
+// detach copies the entries' values, which alias the table, into one
+// heap buffer, so they stay valid after the lock is released.
+func detach(entries []Entry) {
+	n := 0
+	for _, e := range entries {
+		n += len(e.Vals)
+	}
+	buf := make([]float64, 0, n)
+	for i := range entries {
+		at := len(buf)
+		buf = append(buf, entries[i].Vals...)
+		entries[i].Vals = buf[at:len(buf):len(buf)]
+	}
 }
 
 // genCounter disambiguates generations minted within one clock tick.
@@ -396,6 +424,10 @@ func (p *Persistent) Head() Cursor {
 // the incarnation.
 func (p *Persistent) ExportDeltaTo(w io.Writer, since Cursor) (DeltaHeader, int, error) {
 	p.mu.RLock()
+	if p.closed {
+		p.mu.RUnlock()
+		return DeltaHeader{}, 0, fmt.Errorf("costdb: store is closed")
+	}
 	from := since.Seq
 	head := uint64(p.entries.nrecs)
 	if since.Gen != p.gen || from > head {
@@ -407,6 +439,7 @@ func (p *Persistent) ExportDeltaTo(w io.Writer, since Cursor) (DeltaHeader, int,
 			entries = append(entries, e)
 		}
 	}
+	detach(entries)
 	hdr := DeltaHeader{Gen: p.gen, From: from, To: head}
 	p.mu.RUnlock()
 	err := WriteDelta(w, hdr, entries)

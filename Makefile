@@ -1,7 +1,8 @@
 # Developer entry points. `make ci` is what the repository considers a
-# green build: vet + race-enabled tests + one pass over every benchmark
-# + the vitdynd daemon and fleet smoke tests + vet and tests of the
-# nested vitbench module + a short checked run of its cold workload.
+# green build: vet + race-enabled tests + a short fuzz pass + one pass
+# over every benchmark + the vitdynd daemon and fleet smoke tests + vet
+# and tests of the nested vitbench module + a short checked run of its
+# cold workload.
 
 GO ?= go
 # bench-json pipes `go test` through tee; pipefail keeps a crashed
@@ -31,7 +32,7 @@ LOAD_DURATION ?= 2s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json vet lint smoke fleet-smoke vitbench vitbench-smoke load load-profile cover ci clean clean-store
+.PHONY: all build test race fuzz bench bench-json vet lint smoke fleet-smoke vitbench vitbench-smoke load load-profile cover ci clean clean-store
 
 all: build
 
@@ -43,6 +44,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# A short fuzz pass over catalog-spec canonicalization: every spec a
+# request can carry must fold idempotently, keep a negative step (which
+# Seq rejects), and name the same candidates as every spec folding to the
+# same form. New failing inputs land in internal/core/testdata/fuzz.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecCanonical$$' -fuzztime 10s ./internal/core
 
 # One iteration per benchmark: regenerates every paper table/figure via
 # the root harness and exercises the sequential-vs-parallel sweep
@@ -153,7 +161,7 @@ vitbench:
 vitbench-smoke:
 	bash vitbench/run.sh --workload cold --seed 1 --seconds 2
 
-ci: vet race bench smoke fleet-smoke vitbench vitbench-smoke
+ci: vet race fuzz bench smoke fleet-smoke vitbench vitbench-smoke
 
 clean:
 	$(GO) clean ./...

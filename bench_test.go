@@ -10,6 +10,7 @@ package vitdyn
 // records the paper-vs-measured comparison for each one.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -294,7 +295,7 @@ func BenchmarkAblationDecoderVsEncoderPruning(b *testing.B) {
 // BenchmarkAblationRDDVsStatic quantifies Section V-E: dynamic path
 // selection against static model choices over a bursty load.
 func BenchmarkAblationRDDVsStatic(b *testing.B) {
-	cat, err := SegFormerRDDCatalog("ADE", TargetAcceleratorE(), 512)
+	cat, _, err := BuildRDDCatalog(context.Background(), CatalogSpec{Family: "segformer", Dataset: "ADE", Step: 512}, TargetAcceleratorE())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func BenchmarkAblationRDDVsStatic(b *testing.B) {
 // cost/accuracy frontier, different policy. Early exit wins on average cost
 // without budgets; RDD wins on effective accuracy under budgets.
 func BenchmarkAblationEarlyExitVsRDD(b *testing.B) {
-	cat, err := SegFormerRDDCatalog("ADE", TargetAcceleratorE(), 512)
+	cat, _, err := BuildRDDCatalog(context.Background(), CatalogSpec{Family: "segformer", Dataset: "ADE", Step: 512}, TargetAcceleratorE())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -249,7 +250,7 @@ func replay(w io.Writer, traceKind, traceSpecJSON string, frames, workers, hyste
 	if err != nil {
 		return err
 	}
-	cat, err := core.SegFormerCatalog("ADE", core.TargetAcceleratorE(), 512, workers)
+	cat, _, err := core.Catalog(context.Background(), core.Spec{Family: "segformer", Dataset: "ADE", Step: 512}, core.TargetAcceleratorE(), workers)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -35,7 +36,7 @@ func run(w io.Writer) error {
 	}
 
 	// 2. The OFA ResNet-50 ladder on accelerator E (Fig. 13).
-	cat, err := vitdyn.OFARDDCatalog(vitdyn.TargetAcceleratorEEnergy())
+	cat, _, err := vitdyn.BuildRDDCatalog(context.Background(), vitdyn.CatalogSpec{Family: "ofa"}, vitdyn.TargetAcceleratorEEnergy())
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -51,7 +52,7 @@ func run(w io.Writer) error {
 	// 5. RDD inference (Section V): catalog of alternative paths built by
 	// the concurrent sweep engine, then pick the best path for a 75%
 	// resource budget.
-	cat, err := vitdyn.SegFormerRDDCatalog("ADE", vitdyn.TargetAcceleratorE(), 512)
+	cat, _, err := vitdyn.BuildRDDCatalog(context.Background(), vitdyn.CatalogSpec{Family: "segformer", Dataset: "ADE", Step: 512}, vitdyn.TargetAcceleratorE())
 	if err != nil {
 		return err
 	}

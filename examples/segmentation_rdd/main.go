@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -27,12 +28,13 @@ func run(w io.Writer) error {
 
 	// Pretrained pruning catalog (no retraining required: one set of
 	// weights, subsets used at runtime — Section V-E).
-	pre, err := vitdyn.SegFormerRDDCatalog("ADE", target, 256)
+	ctx := context.Background()
+	pre, _, err := vitdyn.BuildRDDCatalog(ctx, vitdyn.CatalogSpec{Family: "segformer", Dataset: "ADE", Step: 256}, target)
 	if err != nil {
 		return err
 	}
 	// Retrained switching catalog (B0/B1/B2: three stored weight sets).
-	ret, err := vitdyn.SegFormerRetrainedRDDCatalog("ADE", target)
+	ret, _, err := vitdyn.BuildRDDCatalog(ctx, vitdyn.CatalogSpec{Family: "segformer-retrained", Dataset: "ADE"}, target)
 	if err != nil {
 		return err
 	}

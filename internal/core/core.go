@@ -7,23 +7,24 @@
 // from the anchored resilience surfaces, ready for the RDD controller in
 // internal/rdd.
 //
-// Every catalog builder routes through internal/engine's streaming
-// pipeline (generate → pre-filter → cost → frontier): candidates are
-// emitted one at a time by a generator, costed across a worker pool as
-// they arrive, and reduced into an incremental Pareto frontier — the
-// resulting catalog is byte-identical to a batch sequential build while
-// the full candidate set is never materialized and provably dominated
-// candidates skip the backend entirely. Each builder comes in three
-// forms: a *CandidateSeq generator of the labeled (graph constructor,
-// accuracy) stream, a *Candidates collector for slice-based callers, and
-// a *Catalog function building the frontier on a backend with a bounded
-// number of workers (0 = GOMAXPROCS); *CatalogStream variants additionally
-// report the pipeline's StreamStats.
+// The five catalog families are rows of one table, named by a Spec
+// (family plus the dataset, variant and channel step the family reads).
+// Spec.Canonical folds a spec to the one form per distinct catalog,
+// Spec.Seq resolves it to the catalog name and a generator of labeled
+// (graph constructor or plan, accuracy) candidates, and Catalog runs that
+// generator through internal/engine's streaming pipeline (generate →
+// pre-filter → cost → frontier) on a backend with a bounded number of
+// workers (0 = GOMAXPROCS). Candidates are costed as they arrive and
+// reduced into an incremental Pareto frontier: the catalog is
+// byte-identical to a sequential batch build, while the full candidate
+// set is never materialized and provably dominated candidates skip the
+// backend entirely.
 package core
 
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"vitdyn/internal/accuracy"
 	"vitdyn/internal/engine"
@@ -65,12 +66,104 @@ func SegFormerDataset(dataset string) (*accuracy.SegFormerResilience, int, int, 
 	return nil, 0, 0, fmt.Errorf("core: unknown dataset %q (want ADE or City)", dataset)
 }
 
-// streamCatalog runs a candidate generator through the engine's streaming
-// pipeline — the shared back half of every catalog builder. Default
-// StreamOptions enable the FLOPs-proxy admission pre-filter for the
-// shipped backends (all engine.FLOPsMonotone) and cost every candidate
-// on backends that make no such guarantee.
-func streamCatalog(ctx context.Context, model string, seq engine.CandidateSeq, backend engine.CostBackend, workers int) (*rdd.Catalog, engine.StreamStats, error) {
+// Spec names one catalog: an execution-path family plus the sweep
+// parameters the family reads. Canonical zeroes the ones it ignores.
+type Spec struct {
+	Family  string // segformer | segformer-retrained | swin | swin-retrained | ofa
+	Dataset string // segformer families: ADE (default) or City
+	Variant string // swin: Tiny (default), Small, Base
+	Step    int    // pruning sweeps: channel step (0 = family default)
+}
+
+// family is one row of the catalog-family table: which spec fields the
+// family reads, their defaults, and its candidate generator.
+type family struct {
+	name    string
+	dataset string // default Dataset; "" = the family ignores Dataset
+	variant string // default Variant; "" = the family ignores Variant
+	step    int    // default Step; 0 = the family ignores Step
+	seq     func(Spec) (string, engine.CandidateSeq, error)
+}
+
+// families is the catalog-family table, in the order errors list them.
+var families = [...]family{
+	{name: "segformer", dataset: "ADE", step: prune.DefaultSegFormerStep, seq: segformerSeq},
+	{name: "segformer-retrained", dataset: "ADE", seq: segformerRetrainedSeq},
+	{name: "swin", variant: "Tiny", step: prune.DefaultSwinStep, seq: swinSeq},
+	{name: "swin-retrained", seq: swinRetrainedSeq},
+	{name: "ofa", seq: ofaSeq},
+}
+
+// lookup returns the family's row, or nil for an unknown family.
+func lookup(name string) *family {
+	for i := range families {
+		if families[i].name == name {
+			return &families[i]
+		}
+	}
+	return nil
+}
+
+// Canonical folds the spec to the one form every consumer (candidate
+// generation, cache keys, canonical response identities) sees per
+// distinct catalog: fields the family ignores are zeroed, omitted ones
+// resolved (dataset ADE, variant Tiny), and an explicit family-default
+// step folded to 0. A negative step is left as given: Seq rejects it, and
+// it must not share a form with a valid spec. A spec of an unknown family
+// is returned unchanged.
+func (s Spec) Canonical() Spec {
+	if f := lookup(s.Family); f != nil {
+		return f.canonical(s)
+	}
+	return s
+}
+
+func (f *family) canonical(s Spec) Spec {
+	s.Dataset = field(f.dataset, s.Dataset)
+	s.Variant = field(f.variant, s.Variant)
+	if s.Step >= 0 && (f.step == 0 || s.Step == f.step) {
+		s.Step = 0
+	}
+	return s
+}
+
+// field is the canonical value of a spec field whose family default is
+// def: "" when the family ignores the field, def when it was omitted.
+func field(def, v string) string {
+	if def == "" || v == "" {
+		return def
+	}
+	return v
+}
+
+// Seq resolves the spec to its catalog name and candidate generator — the
+// streaming form engine.CatalogFromSeq consumes.
+func (s Spec) Seq() (string, engine.CandidateSeq, error) {
+	if s.Step < 0 {
+		return "", nil, fmt.Errorf("bad step=%d: want a channel step >= 0 (0 = family default)", s.Step)
+	}
+	f := lookup(s.Family)
+	if f == nil {
+		names := make([]string, len(families))
+		for i := range families {
+			names[i] = families[i].name
+		}
+		return "", nil, fmt.Errorf("unknown family %q (want %s)", s.Family, strings.Join(names, ", "))
+	}
+	return f.seq(f.canonical(s))
+}
+
+// Catalog builds the catalog the spec names on the backend through the
+// streaming pipeline, reporting how many candidates were generated,
+// pre-filtered, costed and admitted. Default StreamOptions enable the
+// FLOPs-proxy admission pre-filter for the shipped backends (all
+// engine.FLOPsMonotone) and cost every candidate on backends that make no
+// such guarantee. workers <= 0 selects GOMAXPROCS.
+func Catalog(ctx context.Context, s Spec, backend engine.CostBackend, workers int) (*rdd.Catalog, engine.StreamStats, error) {
+	model, seq, err := s.Seq()
+	if err != nil {
+		return nil, engine.StreamStats{}, err
+	}
 	return engine.New(backend, workers).CatalogFromSeq(ctx, model, seq, engine.StreamOptions{})
 }
 
@@ -84,16 +177,15 @@ func planned(label string, accuracy float64, plan *graph.Plan, err error) engine
 	return engine.PlanCandidate(label, accuracy, plan)
 }
 
-// SegFormerCandidateSeq enumerates the pretrained SegFormer B2 pruning
-// sweep for a dataset as a push generator: the paper's joint sweep of
-// encoder-block bypass and decoder channel pruning, scored with the
-// anchored resilience surface. It returns the catalog name and the
-// candidate stream; configurations are produced one at a time, so the
-// streaming pipeline never holds the whole sweep. Each candidate carries
-// its plan over the compiled full B2 model (compiled on first use), so
-// LayerAdditive backends price it without building its graph.
-func SegFormerCandidateSeq(dataset string, channelStep int) (string, engine.CandidateSeq, error) {
-	res, classes, size, err := SegFormerDataset(dataset)
+// segformerSeq enumerates the pretrained SegFormer B2 pruning sweep for a
+// dataset: the paper's joint sweep of encoder-block bypass and decoder
+// channel pruning, scored with the anchored resilience surface.
+// Configurations are produced one at a time, so the streaming pipeline
+// never holds the whole sweep. Each candidate carries its plan over the
+// compiled full B2 model (compiled on first use), so LayerAdditive
+// backends price it without building its graph.
+func segformerSeq(s Spec) (string, engine.CandidateSeq, error) {
+	res, classes, size, err := SegFormerDataset(s.Dataset)
 	if err != nil {
 		return "", nil, err
 	}
@@ -106,51 +198,20 @@ func SegFormerCandidateSeq(dataset string, channelStep int) (string, engine.Cand
 		return "", nil, err
 	}
 	seq := func(yield func(engine.Candidate) bool) {
-		for p := range prune.SegFormerSweepSeq(cfg, channelStep) {
+		for p := range prune.SegFormerSweepSeq(cfg, s.Step) {
 			plan, err := tmpl.Plan(p)
 			if !yield(planned(p.Label, res.Pretrained(p), plan, err)) {
 				return
 			}
 		}
 	}
-	return "SegFormer-" + dataset + "-B2", seq, nil
+	return "SegFormer-" + s.Dataset + "-B2", seq, nil
 }
 
-// SegFormerCandidates materializes SegFormerCandidateSeq into a slice,
-// for slice-based sweep callers.
-func SegFormerCandidates(dataset string, channelStep int) (string, []engine.Candidate, error) {
-	model, seq, err := SegFormerCandidateSeq(dataset, channelStep)
-	if err != nil {
-		return "", nil, err
-	}
-	return model, engine.CollectSeq(seq), nil
-}
-
-// SegFormerCatalogStream builds the RDD path catalog for a pretrained
-// SegFormer B2 on the given dataset through the streaming pipeline,
-// reporting how many candidates were generated, pre-filtered, costed and
-// admitted. workers <= 0 selects GOMAXPROCS.
-func SegFormerCatalogStream(ctx context.Context, dataset string, backend engine.CostBackend, channelStep, workers int) (*rdd.Catalog, engine.StreamStats, error) {
-	model, seq, err := SegFormerCandidateSeq(dataset, channelStep)
-	if err != nil {
-		return nil, engine.StreamStats{}, err
-	}
-	return streamCatalog(ctx, model, seq, backend, workers)
-}
-
-// SegFormerCatalog builds the RDD path catalog for a pretrained SegFormer
-// B2 on the given dataset, streamed and costed concurrently on the
-// backend and reduced incrementally to its Pareto frontier. workers <= 0
-// selects GOMAXPROCS.
-func SegFormerCatalog(dataset string, backend engine.CostBackend, channelStep, workers int) (*rdd.Catalog, error) {
-	cat, _, err := SegFormerCatalogStream(context.Background(), dataset, backend, channelStep, workers)
-	return cat, err
-}
-
-// SegFormerRetrainedCandidateSeq enumerates the retrained switching
-// family (B0/B1/B2) for a dataset as a push generator.
-func SegFormerRetrainedCandidateSeq(dataset string) (string, engine.CandidateSeq, error) {
-	_, classes, size, err := SegFormerDataset(dataset)
+// segformerRetrainedSeq enumerates the retrained switching family
+// (B0/B1/B2) for a dataset.
+func segformerRetrainedSeq(s Spec) (string, engine.CandidateSeq, error) {
+	_, classes, size, err := SegFormerDataset(s.Dataset)
 	if err != nil {
 		return "", nil, err
 	}
@@ -163,7 +224,7 @@ func SegFormerRetrainedCandidateSeq(dataset string) (string, engine.CandidateSeq
 		if cfgs[i], err = nn.SegFormerB(v, classes); err != nil {
 			return "", nil, err
 		}
-		if accs[i], err = accuracy.SegFormerBaseline(v, dataset); err != nil {
+		if accs[i], err = accuracy.SegFormerBaseline(v, s.Dataset); err != nil {
 			return "", nil, err
 		}
 	}
@@ -182,46 +243,19 @@ func SegFormerRetrainedCandidateSeq(dataset string) (string, engine.CandidateSeq
 			}
 		}
 	}
-	return "SegFormer-" + dataset + "-retrained", seq, nil
+	return "SegFormer-" + s.Dataset + "-retrained", seq, nil
 }
 
-// SegFormerRetrainedCandidates materializes SegFormerRetrainedCandidateSeq
-// into a slice.
-func SegFormerRetrainedCandidates(dataset string) (string, []engine.Candidate, error) {
-	model, seq, err := SegFormerRetrainedCandidateSeq(dataset)
+// swinSeq enumerates the Swin pruning sweep for a variant. The paper
+// recommends retrained switching for Swin; this sweep exists to quantify
+// why (its frontier is steep). Candidates carry plans, as in
+// segformerSeq.
+func swinSeq(s Spec) (string, engine.CandidateSeq, error) {
+	cfg, err := nn.SwinVariant(s.Variant, 150)
 	if err != nil {
 		return "", nil, err
 	}
-	return model, engine.CollectSeq(seq), nil
-}
-
-// SegFormerRetrainedCatalogStream builds the retrained switching catalog
-// (B0/B1/B2) through the streaming pipeline, with stats.
-func SegFormerRetrainedCatalogStream(ctx context.Context, dataset string, backend engine.CostBackend, workers int) (*rdd.Catalog, engine.StreamStats, error) {
-	model, seq, err := SegFormerRetrainedCandidateSeq(dataset)
-	if err != nil {
-		return nil, engine.StreamStats{}, err
-	}
-	return streamCatalog(ctx, model, seq, backend, workers)
-}
-
-// SegFormerRetrainedCatalog builds the retrained switching catalog
-// (B0/B1/B2) on the backend.
-func SegFormerRetrainedCatalog(dataset string, backend engine.CostBackend, workers int) (*rdd.Catalog, error) {
-	cat, _, err := SegFormerRetrainedCatalogStream(context.Background(), dataset, backend, workers)
-	return cat, err
-}
-
-// SwinCandidateSeq enumerates the Swin pruning sweep for a variant as a
-// push generator. The paper recommends retrained switching for Swin; this
-// sweep exists to quantify why (its frontier is steep). Candidates carry
-// plans, as in SegFormerCandidateSeq.
-func SwinCandidateSeq(variant string, channelStep int) (string, engine.CandidateSeq, error) {
-	cfg, err := nn.SwinVariant(variant, 150)
-	if err != nil {
-		return "", nil, err
-	}
-	res, err := accuracy.NewSwin(variant)
+	res, err := accuracy.NewSwin(s.Variant)
 	if err != nil {
 		return "", nil, err
 	}
@@ -231,45 +265,18 @@ func SwinCandidateSeq(variant string, channelStep int) (string, engine.Candidate
 	}
 	full := prune.FullSwinPath(cfg)
 	seq := func(yield func(engine.Candidate) bool) {
-		for p := range prune.SwinSweepSeq(cfg, channelStep) {
+		for p := range prune.SwinSweepSeq(cfg, s.Step) {
 			plan, err := tmpl.Plan(p)
 			if !yield(planned(p.Label, res.Pretrained(p, full), plan, err)) {
 				return
 			}
 		}
 	}
-	return "Swin-" + variant, seq, nil
+	return "Swin-" + s.Variant, seq, nil
 }
 
-// SwinCandidates materializes SwinCandidateSeq into a slice.
-func SwinCandidates(variant string, channelStep int) (string, []engine.Candidate, error) {
-	model, seq, err := SwinCandidateSeq(variant, channelStep)
-	if err != nil {
-		return "", nil, err
-	}
-	return model, engine.CollectSeq(seq), nil
-}
-
-// SwinCatalogStream builds the Swin pruning catalog for a variant through
-// the streaming pipeline, with stats.
-func SwinCatalogStream(ctx context.Context, variant string, backend engine.CostBackend, channelStep, workers int) (*rdd.Catalog, engine.StreamStats, error) {
-	model, seq, err := SwinCandidateSeq(variant, channelStep)
-	if err != nil {
-		return nil, engine.StreamStats{}, err
-	}
-	return streamCatalog(ctx, model, seq, backend, workers)
-}
-
-// SwinCatalog builds the Swin pruning catalog for a variant on the
-// backend.
-func SwinCatalog(variant string, backend engine.CostBackend, channelStep, workers int) (*rdd.Catalog, error) {
-	cat, _, err := SwinCatalogStream(context.Background(), variant, backend, channelStep, workers)
-	return cat, err
-}
-
-// SwinRetrainedCandidateSeq enumerates the Tiny/Small/Base switching
-// family as a push generator.
-func SwinRetrainedCandidateSeq() (string, engine.CandidateSeq, error) {
+// swinRetrainedSeq enumerates the Tiny/Small/Base switching family.
+func swinRetrainedSeq(Spec) (string, engine.CandidateSeq, error) {
 	variants := []string{"Tiny", "Small", "Base"}
 	accs := make([]float64, len(variants))
 	for i, v := range variants {
@@ -297,35 +304,9 @@ func SwinRetrainedCandidateSeq() (string, engine.CandidateSeq, error) {
 	return "Swin-retrained", seq, nil
 }
 
-// SwinRetrainedCandidates materializes SwinRetrainedCandidateSeq into a
-// slice.
-func SwinRetrainedCandidates() (string, []engine.Candidate, error) {
-	model, seq, err := SwinRetrainedCandidateSeq()
-	if err != nil {
-		return "", nil, err
-	}
-	return model, engine.CollectSeq(seq), nil
-}
-
-// SwinRetrainedCatalogStream builds the Tiny/Small/Base switching catalog
-// through the streaming pipeline, with stats.
-func SwinRetrainedCatalogStream(ctx context.Context, backend engine.CostBackend, workers int) (*rdd.Catalog, engine.StreamStats, error) {
-	model, seq, err := SwinRetrainedCandidateSeq()
-	if err != nil {
-		return nil, engine.StreamStats{}, err
-	}
-	return streamCatalog(ctx, model, seq, backend, workers)
-}
-
-// SwinRetrainedCatalog builds the Tiny/Small/Base switching catalog.
-func SwinRetrainedCatalog(backend engine.CostBackend, workers int) (*rdd.Catalog, error) {
-	cat, _, err := SwinRetrainedCatalogStream(context.Background(), backend, workers)
-	return cat, err
-}
-
-// OFACandidateSeq enumerates the Once-For-All ResNet-50 subnet ladder
-// (the paper's Fig. 13) as a push generator.
-func OFACandidateSeq() (string, engine.CandidateSeq, error) {
+// ofaSeq enumerates the Once-For-All ResNet-50 subnet ladder (the paper's
+// Fig. 13).
+func ofaSeq(Spec) (string, engine.CandidateSeq, error) {
 	seq := func(yield func(engine.Candidate) bool) {
 		for _, sub := range nn.OFACatalog() {
 			sub := sub
@@ -342,30 +323,4 @@ func OFACandidateSeq() (string, engine.CandidateSeq, error) {
 		}
 	}
 	return "OFA-ResNet-50", seq, nil
-}
-
-// OFACandidates materializes OFACandidateSeq into a slice.
-func OFACandidates() (string, []engine.Candidate, error) {
-	model, seq, err := OFACandidateSeq()
-	if err != nil {
-		return "", nil, err
-	}
-	return model, engine.CollectSeq(seq), nil
-}
-
-// OFACatalogStream builds the Once-For-All ResNet-50 switching catalog
-// through the streaming pipeline, with stats.
-func OFACatalogStream(ctx context.Context, backend engine.CostBackend, workers int) (*rdd.Catalog, engine.StreamStats, error) {
-	model, seq, err := OFACandidateSeq()
-	if err != nil {
-		return nil, engine.StreamStats{}, err
-	}
-	return streamCatalog(ctx, model, seq, backend, workers)
-}
-
-// OFACatalog builds the Once-For-All ResNet-50 switching catalog on the
-// backend.
-func OFACatalog(backend engine.CostBackend, workers int) (*rdd.Catalog, error) {
-	cat, _, err := OFACatalogStream(context.Background(), backend, workers)
-	return cat, err
 }

@@ -26,11 +26,28 @@ func TestTargetBackends(t *testing.T) {
 	}
 }
 
-func TestSegFormerCatalogGPU(t *testing.T) {
-	cat, err := SegFormerCatalog("ADE", TargetGPU(), 512, 0)
+// build builds the catalog the spec names on the backend, failing the
+// test on error.
+func build(t *testing.T, s Spec, backend engine.CostBackend) *rdd.Catalog {
+	t.Helper()
+	cat, _, err := Catalog(context.Background(), s, backend, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cat
+}
+
+// collect materializes a candidate generator into a slice.
+func collect(seq engine.CandidateSeq) []engine.Candidate {
+	var out []engine.Candidate
+	for c := range seq {
+		out = append(out, c)
+	}
+	return out
+}
+
+func TestSegFormerCatalogGPU(t *testing.T) {
+	cat := build(t, Spec{Family: "segformer", Dataset: "ADE", Step: 512}, TargetGPU())
 	if len(cat.Paths) < 4 {
 		t.Fatalf("catalog too small: %d paths", len(cat.Paths))
 	}
@@ -54,14 +71,9 @@ func TestSegFormerCatalogGPU(t *testing.T) {
 }
 
 func TestSegFormerCatalogEnergyVsTime(t *testing.T) {
-	tc, err := SegFormerCatalog("ADE", TargetAcceleratorE(), 1024, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec, err := SegFormerCatalog("ADE", TargetAcceleratorEEnergy(), 1024, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Spec{Family: "segformer", Dataset: "ADE", Step: 1024}
+	tc := build(t, s, TargetAcceleratorE())
+	ec := build(t, s, TargetAcceleratorEEnergy())
 	if tc.Full().Cost == ec.Full().Cost {
 		t.Error("time and energy costs should differ")
 	}
@@ -72,14 +84,8 @@ func TestRetrainedBeatsPretrainedCeiling(t *testing.T) {
 	// savings. Compare the accuracy of the cheapest retrained point with a
 	// pretrained point of comparable cost.
 	target := TargetAcceleratorE()
-	pre, err := SegFormerCatalog("ADE", target, 512, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ret, err := SegFormerRetrainedCatalog("ADE", target, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pre := build(t, Spec{Family: "segformer", Dataset: "ADE", Step: 512}, target)
+	ret := build(t, Spec{Family: "segformer-retrained", Dataset: "ADE"}, target)
 	if len(ret.Paths) != 3 {
 		t.Fatalf("retrained catalog has %d paths", len(ret.Paths))
 	}
@@ -91,17 +97,11 @@ func TestRetrainedBeatsPretrainedCeiling(t *testing.T) {
 }
 
 func TestSwinCatalogs(t *testing.T) {
-	cat, err := SwinCatalog("Tiny", TargetAcceleratorE(), 512, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := build(t, Spec{Family: "swin", Variant: "Tiny", Step: 512}, TargetAcceleratorE())
 	if len(cat.Paths) < 2 {
 		t.Fatalf("Swin catalog too small")
 	}
-	ret, err := SwinRetrainedCatalog(TargetGPU(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ret := build(t, Spec{Family: "swin-retrained"}, TargetGPU())
 	if len(ret.Paths) != 3 {
 		t.Fatalf("Swin retrained catalog has %d paths", len(ret.Paths))
 	}
@@ -110,16 +110,13 @@ func TestSwinCatalogs(t *testing.T) {
 	if save < 0.25 || save > 0.50 {
 		t.Errorf("Swin Base->Tiny GPU time saving = %.3f, paper reports 0.36", save)
 	}
-	if _, err := SwinCatalog("Huge", TargetGPU(), 512, 0); err == nil {
+	if _, _, err := Catalog(context.Background(), Spec{Family: "swin", Variant: "Huge", Step: 512}, TargetGPU(), 0); err == nil {
 		t.Error("unknown variant accepted")
 	}
 }
 
 func TestOFACatalogOnE(t *testing.T) {
-	cat, err := OFACatalog(TargetAcceleratorEEnergy(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := build(t, Spec{Family: "ofa"}, TargetAcceleratorEEnergy())
 	if len(cat.Paths) < 6 {
 		t.Fatalf("OFA catalog has %d paths", len(cat.Paths))
 	}
@@ -140,14 +137,20 @@ func TestOFACatalogOnE(t *testing.T) {
 }
 
 func TestCatalogErrors(t *testing.T) {
-	if _, err := SegFormerCatalog("KITTI", TargetGPU(), 512, 0); err == nil {
-		t.Error("unknown dataset accepted")
-	}
-	if _, err := SegFormerRetrainedCatalog("KITTI", TargetGPU(), 0); err == nil {
-		t.Error("unknown dataset accepted for retrained")
-	}
-	if _, err := SwinCatalog("Huge", TargetFLOPs(), 512, 0); err == nil {
-		t.Error("unknown Swin variant accepted")
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Family: "segformer", Dataset: "KITTI", Step: 512}, `unknown dataset "KITTI"`},
+		{Spec{Family: "segformer-retrained", Dataset: "KITTI"}, `unknown dataset "KITTI"`},
+		{Spec{Family: "swin", Variant: "Huge", Step: 512}, "Huge"},
+		{Spec{Family: "swin", Step: -3}, "bad step=-3"},
+		{Spec{Family: "vit"}, `unknown family "vit" (want segformer, segformer-retrained, swin, swin-retrained, ofa)`},
+	} {
+		_, _, err := Catalog(context.Background(), tc.spec, TargetFLOPs(), 0)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want one containing %q", tc.spec, err, tc.want)
+		}
 	}
 }
 
@@ -194,161 +197,75 @@ func assertCatalogsIdentical(t *testing.T, want, got *rdd.Catalog) {
 	}
 }
 
+// assertGolden builds the spec's catalog through the streaming pipeline
+// and requires it to equal the seed's sequential construction over the
+// same candidates, with the stream's accounting balanced: every generated
+// candidate is either pre-filtered or costed, and every frontier path was
+// admitted.
+func assertGolden(t *testing.T, s Spec, backend engine.CostBackend, workers int) {
+	t.Helper()
+	model, seq, err := s.Seq()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := collect(seq)
+	want := seedSequentialCatalog(t, model, cands, backend)
+	got, st, err := Catalog(context.Background(), s, backend, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCatalogsIdentical(t, want, got)
+	if st.Generated != int64(len(cands)) {
+		t.Errorf("generated %d candidates, want %d", st.Generated, len(cands))
+	}
+	if st.Generated != st.Prefiltered+st.Costed {
+		t.Errorf("stream accounting does not balance: %+v", st)
+	}
+	if st.Admitted < int64(len(got.Paths)) {
+		t.Errorf("admitted %d < %d frontier paths", st.Admitted, len(got.Paths))
+	}
+}
+
 // TestGoldenEquivalence proves the parallel engine produces exactly the
 // catalog the seed's sequential construction produced, for every catalog
-// builder on its paper substrate.
+// family on its paper substrate.
 func TestGoldenEquivalence(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
 		name    string
 		backend engine.CostBackend
-		cands   func() (string, []engine.Candidate, error)
-		build   func() (*rdd.Catalog, error)
+		spec    Spec
 	}{
-		{
-			name:    "SegFormerADE-accelE",
-			backend: TargetAcceleratorE(),
-			cands:   func() (string, []engine.Candidate, error) { return SegFormerCandidates("ADE", 512) },
-			build: func() (*rdd.Catalog, error) {
-				return SegFormerCatalog("ADE", TargetAcceleratorE(), 512, workers)
-			},
-		},
-		{
-			name:    "SegFormerCity-gpu",
-			backend: TargetGPU(),
-			cands:   func() (string, []engine.Candidate, error) { return SegFormerCandidates("City", 1024) },
-			build: func() (*rdd.Catalog, error) {
-				return SegFormerCatalog("City", TargetGPU(), 1024, workers)
-			},
-		},
-		{
-			name:    "SegFormerRetrained-gpu",
-			backend: TargetGPU(),
-			cands:   func() (string, []engine.Candidate, error) { return SegFormerRetrainedCandidates("ADE") },
-			build: func() (*rdd.Catalog, error) {
-				return SegFormerRetrainedCatalog("ADE", TargetGPU(), workers)
-			},
-		},
-		{
-			name:    "SwinTiny-accelE",
-			backend: TargetAcceleratorE(),
-			cands:   func() (string, []engine.Candidate, error) { return SwinCandidates("Tiny", 512) },
-			build: func() (*rdd.Catalog, error) {
-				return SwinCatalog("Tiny", TargetAcceleratorE(), 512, workers)
-			},
-		},
-		{
-			name:    "SwinRetrained-accelE",
-			backend: TargetAcceleratorE(),
-			cands:   func() (string, []engine.Candidate, error) { return SwinRetrainedCandidates() },
-			build: func() (*rdd.Catalog, error) {
-				return SwinRetrainedCatalog(TargetAcceleratorE(), workers)
-			},
-		},
-		{
-			name:    "OFA-accelE-energy",
-			backend: TargetAcceleratorEEnergy(),
-			cands:   func() (string, []engine.Candidate, error) { return OFACandidates() },
-			build: func() (*rdd.Catalog, error) {
-				return OFACatalog(TargetAcceleratorEEnergy(), workers)
-			},
-		},
+		{"SegFormerADE-accelE", TargetAcceleratorE(), Spec{Family: "segformer", Dataset: "ADE", Step: 512}},
+		{"SegFormerCity-gpu", TargetGPU(), Spec{Family: "segformer", Dataset: "City", Step: 1024}},
+		{"SegFormerRetrained-gpu", TargetGPU(), Spec{Family: "segformer-retrained", Dataset: "ADE"}},
+		{"SwinTiny-accelE", TargetAcceleratorE(), Spec{Family: "swin", Variant: "Tiny", Step: 512}},
+		{"SwinRetrained-accelE", TargetAcceleratorE(), Spec{Family: "swin-retrained"}},
+		{"OFA-accelE-energy", TargetAcceleratorEEnergy(), Spec{Family: "ofa"}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			model, cands, err := tc.cands()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := seedSequentialCatalog(t, model, cands, tc.backend)
-			got, err := tc.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertCatalogsIdentical(t, want, got)
-		})
+		t.Run(tc.name, func(t *testing.T) { assertGolden(t, tc.spec, tc.backend, workers) })
 	}
 }
 
-// TestStreamingMatchesBatchAllBuilders proves, for every one of the five
-// catalog builders, that the streaming pipeline — generator candidates,
-// concurrent costing in arrival order, FLOPs-proxy pre-filtering,
-// incremental frontier reduction — produces a byte-identical catalog to
-// the batch path (materialized candidate slice, ordered parallel sweep,
-// batch Pareto reduction), and that the stream's accounting balances:
-// every generated candidate is either pre-filtered or costed.
+// TestStreamingMatchesBatchAllBuilders repeats the golden check for every
+// family at a second parameter point — a finer step, the other dataset,
+// another backend — with the default worker count: generator candidates,
+// concurrent costing in arrival order, FLOPs-proxy pre-filtering and
+// incremental frontier reduction still produce the sequential batch
+// catalog.
 func TestStreamingMatchesBatchAllBuilders(t *testing.T) {
-	ctx := context.Background()
 	for _, tc := range []struct {
 		name    string
 		backend engine.CostBackend
-		cands   func() (string, []engine.Candidate, error)
-		stream  func() (*rdd.Catalog, engine.StreamStats, error)
+		spec    Spec
 	}{
-		{
-			name:    "SegFormer",
-			backend: TargetAcceleratorE(),
-			cands:   func() (string, []engine.Candidate, error) { return SegFormerCandidates("ADE", 256) },
-			stream: func() (*rdd.Catalog, engine.StreamStats, error) {
-				return SegFormerCatalogStream(ctx, "ADE", TargetAcceleratorE(), 256, 0)
-			},
-		},
-		{
-			name:    "SegFormerRetrained",
-			backend: TargetGPU(),
-			cands:   func() (string, []engine.Candidate, error) { return SegFormerRetrainedCandidates("City") },
-			stream: func() (*rdd.Catalog, engine.StreamStats, error) {
-				return SegFormerRetrainedCatalogStream(ctx, "City", TargetGPU(), 0)
-			},
-		},
-		{
-			name:    "Swin",
-			backend: TargetGPU(),
-			cands:   func() (string, []engine.Candidate, error) { return SwinCandidates("Tiny", 256) },
-			stream: func() (*rdd.Catalog, engine.StreamStats, error) {
-				return SwinCatalogStream(ctx, "Tiny", TargetGPU(), 256, 0)
-			},
-		},
-		{
-			name:    "SwinRetrained",
-			backend: TargetAcceleratorE(),
-			cands:   func() (string, []engine.Candidate, error) { return SwinRetrainedCandidates() },
-			stream: func() (*rdd.Catalog, engine.StreamStats, error) {
-				return SwinRetrainedCatalogStream(ctx, TargetAcceleratorE(), 0)
-			},
-		},
-		{
-			name:    "OFA",
-			backend: TargetAcceleratorEEnergy(),
-			cands:   func() (string, []engine.Candidate, error) { return OFACandidates() },
-			stream: func() (*rdd.Catalog, engine.StreamStats, error) {
-				return OFACatalogStream(ctx, TargetAcceleratorEEnergy(), 0)
-			},
-		},
+		{"SegFormer", TargetAcceleratorE(), Spec{Family: "segformer", Dataset: "ADE", Step: 256}},
+		{"SegFormerRetrained", TargetGPU(), Spec{Family: "segformer-retrained", Dataset: "City"}},
+		{"Swin", TargetGPU(), Spec{Family: "swin", Variant: "Tiny", Step: 256}},
+		{"SwinRetrained", TargetAcceleratorE(), Spec{Family: "swin-retrained"}},
+		{"OFA", TargetAcceleratorEEnergy(), Spec{Family: "ofa"}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			model, cands, err := tc.cands()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := engine.New(tc.backend, 0).Catalog(model, cands)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := tc.stream()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertCatalogsIdentical(t, want, got)
-			if st.Generated != int64(len(cands)) {
-				t.Errorf("generated %d candidates, want %d", st.Generated, len(cands))
-			}
-			if st.Generated != st.Prefiltered+st.Costed {
-				t.Errorf("stream accounting does not balance: %+v", st)
-			}
-			if st.Admitted < int64(len(got.Paths)) {
-				t.Errorf("admitted %d < %d frontier paths", st.Admitted, len(got.Paths))
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { assertGolden(t, tc.spec, tc.backend, 0) })
 	}
 }
 
@@ -356,9 +273,9 @@ func TestStreamingMatchesBatchAllBuilders(t *testing.T) {
 // pipeline: on a fine-step SegFormer sweep, at least 20% of generated
 // candidates must be pre-filtered by the FLOPs-proxy admission check
 // before any backend costing — while the catalog stays byte-identical to
-// the batch build (checked above and in TestGoldenEquivalence).
+// the sequential build (checked in TestGoldenEquivalence).
 func TestFineSweepPrefilterRate(t *testing.T) {
-	_, st, err := SegFormerCatalogStream(context.Background(), "ADE", TargetAcceleratorE(), 64, 0)
+	_, st, err := Catalog(context.Background(), Spec{Family: "segformer", Dataset: "ADE", Step: 64}, TargetAcceleratorE(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

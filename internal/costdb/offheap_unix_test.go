@@ -39,6 +39,18 @@ func trackMappings(t *testing.T, failEvery int) (live func() int) {
 	return func() int { return len(mapped) }
 }
 
+// assertMappingsReleased tracks every mapping made from here on and fails
+// the test if any is still live once the cleanups registered after this
+// call — stores a test abandons — have run.
+func assertMappingsReleased(t *testing.T) {
+	live := trackMappings(t, 0)
+	t.Cleanup(func() {
+		if n := live(); n != 0 {
+			t.Errorf("%d mappings left after every store is gone", n)
+		}
+	})
+}
+
 // TestContentsHeapFallbackReindex refuses every other mapping, so the
 // table mixes mapped and heap chunks and its index moves between the two
 // as it grows: lookups must stay right, and growth and release must

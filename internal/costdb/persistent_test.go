@@ -34,6 +34,19 @@ func mustNotCompute(t *testing.T, key string) func() ([]float64, error) {
 	}
 }
 
+// crash abandons p the way a killed process would: nothing is flushed,
+// compacted or closed. Only at test cleanup are its table and WAL handle
+// released, as the dead process's exit would have released them.
+func crash(t *testing.T, p *Persistent) {
+	t.Cleanup(func() {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.wal.Close()
+		p.closed = true
+		p.entries.release()
+	})
+}
+
 func TestPersistentWriteThroughAndWarmBoot(t *testing.T) {
 	dir := t.TempDir()
 	p, err := Open(dir, nil, Options{})
@@ -69,6 +82,7 @@ func TestPersistentWriteThroughAndWarmBoot(t *testing.T) {
 }
 
 func TestPersistentCrashRecoveryFromWAL(t *testing.T) {
+	assertMappingsReleased(t)
 	dir := t.TempDir()
 	p, err := Open(dir, nil, Options{})
 	if err != nil {
@@ -78,7 +92,7 @@ func TestPersistentCrashRecoveryFromWAL(t *testing.T) {
 	put(t, p, "gpu/test", 2, 20)
 	// Simulated crash: no Flush, no Close — the WAL alone carries the
 	// inserts.
-	p = nil
+	crash(t, p)
 
 	p2, err := Open(dir, nil, Options{})
 	if err != nil {
@@ -94,6 +108,7 @@ func TestPersistentCrashRecoveryFromWAL(t *testing.T) {
 }
 
 func TestPersistentTornWALTailRecovered(t *testing.T) {
+	assertMappingsReleased(t)
 	dir := t.TempDir()
 	p, err := Open(dir, nil, Options{})
 	if err != nil {
@@ -101,6 +116,7 @@ func TestPersistentTornWALTailRecovered(t *testing.T) {
 	}
 	put(t, p, "gpu/test", 1, 10)
 	put(t, p, "gpu/test", 2, 20)
+	crash(t, p)
 	// Crash mid-append: chop bytes off the WAL tail.
 	walPath := filepath.Join(dir, WALFile)
 	b, err := os.ReadFile(walPath)

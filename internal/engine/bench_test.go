@@ -1,17 +1,18 @@
 package engine_test
 
-// Sequential-vs-parallel sweep benchmarks over the real paper workload:
+// Sequential-vs-parallel catalog benchmarks over the real paper workload:
 // the SegFormer ADE B2 pruning sweep costed on a MAGNet accelerator-E
 // simulation. Run with
 //
-//	go test -bench=Sweep -benchtime=5x ./internal/engine/
+//	go test -bench=Catalog -benchtime=5x ./internal/engine/
 //
-// and compare BenchmarkSweepSequential against BenchmarkSweepParallel:
+// and compare BenchmarkCatalogSequential against BenchmarkCatalogParallel:
 // at workers=GOMAXPROCS the parallel engine wins by roughly the core
 // count (fresh engine per iteration, so the memo cache never hides the
 // work).
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -21,55 +22,74 @@ import (
 	"vitdyn/internal/graph"
 )
 
-func segformerSweep(b *testing.B) []engine.Candidate {
+// segformerSweep returns the catalog name and candidate generator of the
+// step-256 SegFormer ADE sweep, with its candidate count.
+func segformerSweep(b *testing.B) (string, engine.CandidateSeq, int) {
 	b.Helper()
-	_, cands, err := core.SegFormerCandidates("ADE", 256)
+	model, seq, err := core.Spec{Family: "segformer", Dataset: "ADE", Step: 256}.Seq()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cands
+	n := 0
+	for range seq {
+		n++
+	}
+	return model, seq, n
 }
 
-func BenchmarkSweepSequential(b *testing.B) {
-	cands := segformerSweep(b)
+// take limits a generator to its first n candidates.
+func take(seq engine.CandidateSeq, n int) engine.CandidateSeq {
+	return func(yield func(engine.Candidate) bool) {
+		i := 0
+		for c := range seq {
+			if i == n || !yield(c) {
+				return
+			}
+			i++
+		}
+	}
+}
+
+// buildCatalog builds the catalog on e, failing the benchmark on error.
+func buildCatalog(b *testing.B, e *engine.Engine, model string, seq engine.CandidateSeq) {
+	b.Helper()
+	if _, _, err := e.CatalogFromSeq(context.Background(), model, seq, engine.StreamOptions{}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkCatalogSequential(b *testing.B) {
+	model, seq, n := segformerSweep(b)
 	backend := core.TargetAcceleratorE()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.New(backend, 1).SweepSequential(cands); err != nil {
-			b.Fatal(err)
-		}
+		buildCatalog(b, engine.New(backend, 1), model, seq)
 	}
-	b.ReportMetric(float64(len(cands)), "graphs/op")
+	b.ReportMetric(float64(n), "graphs/op")
 }
 
-func BenchmarkSweepParallel(b *testing.B) {
-	cands := segformerSweep(b)
+func BenchmarkCatalogParallel(b *testing.B) {
+	model, seq, n := segformerSweep(b)
 	backend := core.TargetAcceleratorE()
 	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.New(backend, workers).Sweep(cands); err != nil {
-			b.Fatal(err)
-		}
+		buildCatalog(b, engine.New(backend, workers), model, seq)
 	}
-	b.ReportMetric(float64(len(cands)), "graphs/op")
+	b.ReportMetric(float64(n), "graphs/op")
 	b.ReportMetric(float64(workers), "workers")
 }
 
-// BenchmarkSweepParallelCached measures the steady-state cost of a sweep
-// whose graphs were all costed before (pure cache hits plus graph
-// construction and hashing).
-func BenchmarkSweepParallelCached(b *testing.B) {
-	cands := segformerSweep(b)
+// BenchmarkCatalogParallelCached measures the steady-state cost of a
+// build whose candidates were all costed before (pure cache hits plus
+// candidate generation and hashing).
+func BenchmarkCatalogParallelCached(b *testing.B) {
+	model, seq, _ := segformerSweep(b)
 	e := engine.New(core.TargetAcceleratorE(), 0)
-	if _, err := e.Sweep(cands); err != nil {
-		b.Fatal(err)
-	}
+	buildCatalog(b, e, model, seq)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Sweep(cands); err != nil {
-			b.Fatal(err)
-		}
+		buildCatalog(b, e, model, seq)
 	}
 }
 
@@ -77,7 +97,8 @@ func BenchmarkSweepParallelCached(b *testing.B) {
 // rather than CPU (a remote simulation service, a licensed simulator
 // behind RPC): Cost blocks ~1ms per distinct graph. It isolates the
 // worker pool's concurrency win from raw core count, so the parallel
-// speedup is visible even on a single-core machine.
+// speedup is visible even on a single-core machine. It declares neither
+// FLOPsMonotone nor LayerAdditive, so every candidate is built and costed.
 type latencyBackend struct{}
 
 func (latencyBackend) Name() string { return "latency-1ms" }
@@ -87,23 +108,21 @@ func (latencyBackend) Cost(g *graph.Graph) (float64, error) {
 	return float64(g.TotalMACs()) / 1e9, nil
 }
 
-func BenchmarkSweepLatencyBoundSequential(b *testing.B) {
-	cands := segformerSweep(b)[:64]
+func BenchmarkCatalogLatencyBoundSequential(b *testing.B) {
+	model, seq, _ := segformerSweep(b)
+	seq = take(seq, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.New(latencyBackend{}, 1).SweepSequential(cands); err != nil {
-			b.Fatal(err)
-		}
+		buildCatalog(b, engine.New(latencyBackend{}, 1), model, seq)
 	}
 }
 
-func BenchmarkSweepLatencyBoundParallel16(b *testing.B) {
-	cands := segformerSweep(b)[:64]
+func BenchmarkCatalogLatencyBoundParallel16(b *testing.B) {
+	model, seq, _ := segformerSweep(b)
+	seq = take(seq, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.New(latencyBackend{}, 16).Sweep(cands); err != nil {
-			b.Fatal(err)
-		}
+		buildCatalog(b, engine.New(latencyBackend{}, 16), model, seq)
 	}
 }
 
@@ -112,14 +131,15 @@ func BenchmarkSweepLatencyBoundParallel16(b *testing.B) {
 // `make bench` demonstrates the engine win without cross-run math.
 func BenchmarkCatalogParallelSpeedup(b *testing.B) {
 	backend := core.TargetAcceleratorE()
+	spec := core.Spec{Family: "segformer", Dataset: "ADE", Step: 256}
 	for i := 0; i < b.N; i++ {
 		seqNS := timeOnce(b, func() {
-			if _, err := core.SegFormerCatalog("ADE", backend, 256, 1); err != nil {
+			if _, _, err := core.Catalog(context.Background(), spec, backend, 1); err != nil {
 				b.Fatal(err)
 			}
 		})
 		parNS := timeOnce(b, func() {
-			if _, err := core.SegFormerCatalog("ADE", backend, 256, runtime.GOMAXPROCS(0)); err != nil {
+			if _, _, err := core.Catalog(context.Background(), spec, backend, runtime.GOMAXPROCS(0)); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -1,8 +1,9 @@
 // Package engine is the concurrent sweep engine behind every RDD path
-// catalog: it fans candidate graph construction and costing out across a
-// bounded worker pool, memoizes repeated graph costs behind a
-// signature-keyed cache, and returns results in deterministic input order,
-// so parallel catalogs are byte-identical to a sequential construction.
+// catalog: it streams candidates through a bounded worker pool that builds
+// or plans and costs them, memoizes repeated graph costs behind a
+// signature-keyed cache, and reduces the results into a Pareto frontier
+// whose order does not depend on arrival order, so parallel catalogs are
+// byte-identical to a sequential construction (see stream.go).
 //
 // The execution substrate is abstracted behind CostBackend (see
 // backends.go for the GPU, MAGNet-time, MAGNet-energy, MAGNet-multi and
@@ -27,7 +28,6 @@ import (
 
 	"vitdyn/internal/graph"
 	"vitdyn/internal/lru"
-	"vitdyn/internal/rdd"
 )
 
 // DefaultMemoCapacity bounds the in-process cost memos — an engine's
@@ -137,13 +137,6 @@ func PlanCandidate(label string, accuracy float64, plan *graph.Plan) Candidate {
 		Build:    func() (*graph.Graph, error) { return plan.Graph(), nil },
 		Plan:     plan,
 	}
-}
-
-// Result is one costed candidate.
-type Result struct {
-	Label    string
-	Cost     float64
-	Accuracy float64
 }
 
 // Engine sweeps candidate sets over one backend with a bounded worker
@@ -417,79 +410,6 @@ func (e *Engine) CostVector(g *graph.Graph) ([]float64, error) {
 	out := make([]float64, len(vals))
 	copy(out, vals)
 	return out, nil
-}
-
-// Sweep builds and costs every candidate concurrently, returning results
-// in the exact order the candidates were given. On failure it returns the
-// error of the lowest-index failing candidate, wrapped with its label, so
-// error reporting is deterministic regardless of goroutine scheduling;
-// remaining candidates stop being dispatched once a failure is observed.
-func (e *Engine) Sweep(cands []Candidate) ([]Result, error) {
-	return e.SweepCtx(context.Background(), cands)
-}
-
-// SweepCtx is Sweep under a context: candidate dispatch stops once ctx is
-// cancelled or times out, and the context error is returned (candidate
-// errors, being deterministic, take precedence). Cancellation is
-// candidate-granular — an in-flight backend evaluation runs to completion
-// and stays cached for the next request.
-func (e *Engine) SweepCtx(ctx context.Context, cands []Candidate) ([]Result, error) {
-	results := make([]Result, len(cands))
-	if err := ForEachCtx(ctx, e.workers, len(cands), func(i int) error {
-		c := cands[i]
-		r, err := e.resolve(c)
-		if err != nil {
-			return err
-		}
-		vals, err := e.price(r)
-		if err != nil {
-			return fmt.Errorf("candidate %q: %w", c.Label, err)
-		}
-		results[i] = Result{Label: c.Label, Cost: vals[0], Accuracy: c.Accuracy}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// SweepSequential is the reference implementation: a plain loop on the
-// calling goroutine with no pool and no cache. Golden tests and the
-// benchmarks compare Sweep against it.
-func (e *Engine) SweepSequential(cands []Candidate) ([]Result, error) {
-	results := make([]Result, len(cands))
-	for i, c := range cands {
-		g, err := c.Build()
-		if err != nil {
-			return nil, fmt.Errorf("candidate %q: %w", c.Label, err)
-		}
-		cost, err := e.backend.Cost(g)
-		if err != nil {
-			return nil, fmt.Errorf("candidate %q: %w", c.Label, err)
-		}
-		results[i] = Result{Label: c.Label, Cost: cost, Accuracy: c.Accuracy}
-	}
-	return results, nil
-}
-
-// Catalog sweeps the candidates and reduces them to a Pareto-frontier RDD
-// catalog, preserving the deterministic sweep order through the frontier
-// reduction.
-func (e *Engine) Catalog(model string, cands []Candidate) (*rdd.Catalog, error) {
-	return e.CatalogCtx(context.Background(), model, cands)
-}
-
-// CatalogCtx is Catalog under a context (see SweepCtx).
-func (e *Engine) CatalogCtx(ctx context.Context, model string, cands []Candidate) (*rdd.Catalog, error) {
-	results, err := e.SweepCtx(ctx, cands)
-	if err != nil {
-		return nil, err
-	}
-	paths := make([]rdd.Path, len(results))
-	for i, r := range results {
-		paths[i] = rdd.Path{Label: r.Label, Cost: r.Cost, Accuracy: r.Accuracy}
-	}
-	return rdd.NewCatalog(model, paths)
 }
 
 // ForEach runs fn(0..n-1) across a bounded pool of workers and returns

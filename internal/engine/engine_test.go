@@ -12,6 +12,7 @@ import (
 
 	"vitdyn/internal/graph"
 	"vitdyn/internal/magnet"
+	"vitdyn/internal/rdd"
 )
 
 // linearGraph returns a tiny graph whose signature is determined by n, so
@@ -65,25 +66,54 @@ func toyCandidates(n int, width func(i int) int) []Candidate {
 	return cands
 }
 
-func TestSweepDeterministicOrder(t *testing.T) {
-	backend := &countingBackend{}
-	cands := toyCandidates(64, func(i int) int { return i + 1 })
-	seq, err := New(backend, 1).SweepSequential(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8, 0} {
-		got, err := New(backend, workers).Sweep(cands)
+// sequentialCatalog is the reference catalog construction: one
+// goroutine, one backend call per candidate in input order, no cache,
+// then the batch Pareto reduction.
+func sequentialCatalog(t *testing.T, backend CostBackend, model string, cands []Candidate) *rdd.Catalog {
+	t.Helper()
+	paths := make([]rdd.Path, len(cands))
+	for i, c := range cands {
+		g, err := c.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seq, got) {
-			t.Fatalf("workers=%d: parallel sweep diverged from sequential reference", workers)
+		cost, err := backend.Cost(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = rdd.Path{Label: c.Label, Cost: cost, Accuracy: c.Accuracy}
+	}
+	cat, err := rdd.NewCatalog(model, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// catalogOf builds the catalog of cands on e with default options.
+func catalogOf(e *Engine, cands []Candidate) (*rdd.Catalog, StreamStats, error) {
+	return e.CatalogFromSeq(context.Background(), "toy", seqOf(cands), StreamOptions{})
+}
+
+func TestSweepDeterministicOrder(t *testing.T) {
+	backend := &countingBackend{}
+	cands := toyCandidates(64, func(i int) int { return i + 1 })
+	want := sequentialCatalog(t, backend, "toy", cands)
+	if len(want.Paths) != 64 {
+		t.Fatalf("reference frontier has %d paths, want all 64", len(want.Paths))
+	}
+	for _, workers := range []int{1, 2, 8, 0} {
+		got, _, err := catalogOf(New(backend, workers), cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: parallel catalog diverged from sequential reference", workers)
 		}
 	}
-	for i, r := range seq {
-		if want := fmt.Sprintf("cand-%03d", i); r.Label != want {
-			t.Fatalf("result %d has label %s, want %s", i, r.Label, want)
+	for i, p := range want.Paths {
+		if want := fmt.Sprintf("cand-%03d", i); p.Label != want {
+			t.Fatalf("path %d has label %s, want %s", i, p.Label, want)
 		}
 	}
 }
@@ -93,9 +123,12 @@ func TestSweepMemoizesSharedGraphs(t *testing.T) {
 	// 64 candidates collapsing onto 8 distinct shapes.
 	cands := toyCandidates(64, func(i int) int { return 10 + i%8 })
 	e := New(backend, 8)
-	res, err := e.Sweep(cands)
+	cat, st, err := catalogOf(e, cands)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Costed != 64 {
+		t.Errorf("costed %d candidates, want all 64", st.Costed)
 	}
 	if got := backend.calls.Load(); got != 8 {
 		t.Errorf("backend invoked %d times, want 8 (one per distinct signature)", got)
@@ -103,17 +136,22 @@ func TestSweepMemoizesSharedGraphs(t *testing.T) {
 	if e.CachedCosts() != 8 {
 		t.Errorf("cache holds %d entries, want 8", e.CachedCosts())
 	}
-	for i, r := range res {
-		if want := float64(10 + i%8); r.Cost != want {
-			t.Errorf("result %d cost %v, want %v", i, r.Cost, want)
+	// The frontier is the most accurate candidate of each shape,
+	// cand-056..063, at costs 10..17.
+	if len(cat.Paths) != 8 {
+		t.Fatalf("frontier has %d paths, want 8", len(cat.Paths))
+	}
+	for k, p := range cat.Paths {
+		if label, cost := fmt.Sprintf("cand-%03d", 56+k), float64(10+k); p.Label != label || p.Cost != cost {
+			t.Errorf("path %d = {%s %v}, want {%s %v}", k, p.Label, p.Cost, label, cost)
 		}
 	}
-	// A second sweep on the same engine is served entirely from cache.
-	if _, err := e.Sweep(cands); err != nil {
+	// A second build on the same engine is served entirely from cache.
+	if _, _, err := catalogOf(e, cands); err != nil {
 		t.Fatal(err)
 	}
 	if got := backend.calls.Load(); got != 8 {
-		t.Errorf("second sweep invoked the backend (total %d calls)", got)
+		t.Errorf("second build invoked the backend (total %d calls)", got)
 	}
 }
 
@@ -156,30 +194,6 @@ func TestCostCacheUnderContention(t *testing.T) {
 	}
 }
 
-func TestSweepReportsLowestIndexError(t *testing.T) {
-	// Two failing candidates; the error must name the lower-index one no
-	// matter which worker hits it first.
-	cands := toyCandidates(32, func(i int) int { return i + 1 })
-	backend := failingBackend{failInF: 12} // candidate index 11 has width 12
-	for _, workers := range []int{1, 8} {
-		_, err := New(backend, workers).Sweep(cands)
-		if err == nil {
-			t.Fatalf("workers=%d: sweep succeeded despite failing backend", workers)
-		}
-		if want := `candidate "cand-011"`; !strings.Contains(err.Error(), want) {
-			t.Errorf("workers=%d: error %q does not name %s", workers, err, want)
-		}
-	}
-	// Build errors propagate the same way.
-	broken := toyCandidates(8, func(i int) int { return i + 1 })
-	broken[3].Build = func() (*graph.Graph, error) { return nil, errors.New("no such model") }
-	broken[5].Build = func() (*graph.Graph, error) { return nil, errors.New("also broken") }
-	_, err := New(&countingBackend{}, 4).Sweep(broken)
-	if err == nil || !strings.Contains(err.Error(), `candidate "cand-003"`) {
-		t.Errorf("build error = %v, want lowest-index candidate cand-003", err)
-	}
-}
-
 func TestCatalogFrontier(t *testing.T) {
 	// Costs grow with index while accuracies shrink, so only the first
 	// candidate is non-dominated.
@@ -192,7 +206,7 @@ func TestCatalogFrontier(t *testing.T) {
 			Build:    func() (*graph.Graph, error) { return linearGraph(10 + i), nil },
 		}
 	}
-	cat, err := New(&countingBackend{}, 2).Catalog("toy", cands)
+	cat, _, err := catalogOf(New(&countingBackend{}, 2), cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +262,9 @@ func TestBackendNames(t *testing.T) {
 func TestNilBackendIsAnErrorNotAPanic(t *testing.T) {
 	cands := toyCandidates(4, func(i int) int { return i + 1 })
 	for _, workers := range []int{1, 4} {
-		_, err := New(nil, workers).Sweep(cands)
+		_, _, err := catalogOf(New(nil, workers), cands)
 		if err == nil || !strings.Contains(err.Error(), "nil CostBackend") {
-			t.Errorf("workers=%d: nil backend sweep returned %v, want nil-CostBackend error", workers, err)
+			t.Errorf("workers=%d: nil backend build returned %v, want nil-CostBackend error", workers, err)
 		}
 	}
 	if _, err := New(nil, 1).Cost(linearGraph(3)); err == nil {
@@ -299,32 +313,32 @@ func (c *mapCache) GetOrComputeVector(backend string, epoch, sig uint64, compute
 }
 
 func TestExternalCacheSharedAcrossEngines(t *testing.T) {
-	// Two engines over the same backend and cache: the second sweep is
+	// Two engines over the same backend and cache: the second build is
 	// served entirely from the shared store.
 	backend := &countingBackend{}
 	cache := newMapCache()
 	cands := toyCandidates(32, func(i int) int { return 10 + i%8 })
 	e1 := NewWithCache(backend, 4, cache)
-	first, err := e1.Sweep(cands)
+	first, _, err := catalogOf(e1, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := backend.calls.Load(); got != 8 {
-		t.Fatalf("cold sweep invoked backend %d times, want 8", got)
+		t.Fatalf("cold build invoked backend %d times, want 8", got)
 	}
 	if e1.CachedCosts() != 0 {
 		t.Errorf("private cache holds %d entries despite external store", e1.CachedCosts())
 	}
 	e2 := NewWithCache(backend, 4, cache)
-	second, err := e2.Sweep(cands)
+	second, _, err := catalogOf(e2, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := backend.calls.Load(); got != 8 {
-		t.Errorf("warm sweep on a fresh engine invoked the backend (total %d calls)", got)
+		t.Errorf("warm build on a fresh engine invoked the backend (total %d calls)", got)
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Error("shared-cache sweep diverged from the cold sweep")
+		t.Error("shared-cache catalog diverged from the cold build")
 	}
 }
 
@@ -499,14 +513,5 @@ func TestForEachCtxCancellation(t *testing.T) {
 	cancel()
 	if err == nil || err.Error() != "boom-3" {
 		t.Errorf("err = %v, want boom-3 over context.Canceled", err)
-	}
-}
-
-func TestSweepCtxTimeout(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already expired
-	cands := toyCandidates(16, func(i int) int { return i + 1 })
-	if _, err := New(&countingBackend{}, 4).SweepCtx(ctx, cands); !errors.Is(err, context.Canceled) {
-		t.Errorf("SweepCtx on cancelled context = %v, want context.Canceled", err)
 	}
 }

@@ -27,13 +27,13 @@ func planFamilies(t *testing.T) map[string]engine.CandidateSeq {
 	}
 	for _, ds := range []string{"ADE", "City"} {
 		for _, step := range []int{0, 768, 900, 1023} {
-			model, seq, err := core.SegFormerCandidateSeq(ds, step)
+			model, seq, err := core.Spec{Family: "segformer", Dataset: ds, Step: step}.Seq()
 			add(model, seq, err, step)
 		}
 	}
 	for _, v := range []string{"Tiny", "Small", "Base"} {
 		for _, step := range []int{0, 256, 384, 511} {
-			model, seq, err := core.SwinCandidateSeq(v, step)
+			model, seq, err := core.Spec{Family: "swin", Variant: v, Step: step}.Seq()
 			add(model, seq, err, step)
 		}
 	}
@@ -135,14 +135,15 @@ func (u unmarked) FLOPsMonotone() bool { return true }
 // every candidate's graph — and both produce the same catalog.
 func TestPlanCandidatesMaterializeOnlyWithoutTheMarker(t *testing.T) {
 	ctx := context.Background()
-	cat, st, err := core.SegFormerCatalogStream(ctx, "ADE", core.TargetGPU(), 512, 0)
+	spec := core.Spec{Family: "segformer", Dataset: "ADE", Step: 512}
+	cat, st, err := core.Catalog(ctx, spec, core.TargetGPU(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Generated == 0 || st.Materialized != 0 {
 		t.Errorf("GPU build: %+v, want candidates generated and none materialized", st)
 	}
-	wcat, wst, err := core.SegFormerCatalogStream(ctx, "ADE", unmarked{core.TargetGPU()}, 512, 0)
+	wcat, wst, err := core.Catalog(ctx, spec, unmarked{core.TargetGPU()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +166,9 @@ func TestPlanCandidatesMaterializeOnlyWithoutTheMarker(t *testing.T) {
 func TestPlanPricingFailsLikeWholeGraph(t *testing.T) {
 	bad := magnet.AcceleratorE()
 	bad.NumPE = 0
-	_, _, err := core.SegFormerCatalogStream(context.Background(), "ADE", engine.MagnetTime(bad), 512, 1)
-	_, _, werr := core.SegFormerCatalogStream(context.Background(), "ADE", unmarked{engine.MagnetTime(bad)}, 512, 1)
+	spec := core.Spec{Family: "segformer", Dataset: "ADE", Step: 512}
+	_, _, err := core.Catalog(context.Background(), spec, engine.MagnetTime(bad), 1)
+	_, _, werr := core.Catalog(context.Background(), spec, unmarked{engine.MagnetTime(bad)}, 1)
 	if err == nil || werr == nil || err.Error() != werr.Error() {
 		t.Errorf("plan path error %v, whole-graph path error %v", err, werr)
 	}

@@ -1,9 +1,9 @@
 package engine
 
-// This file is the streaming counterpart of Sweep/Catalog: candidates
-// flow through a channel, are costed as they arrive, and are reduced into
-// a pareto.FrontierBuilder immediately — no intermediate []Candidate,
-// []Result or []rdd.Path of the full sweep is ever materialized, and a
+// This file is the engine's catalog pipeline: candidates flow through a
+// channel, are costed as they arrive, and are reduced into a
+// pareto.FrontierBuilder immediately — no intermediate []Candidate or
+// []rdd.Path of the full sweep is ever materialized, and a
 // FLOPs-proxy admission pre-filter can skip the expensive backend for
 // candidates that are provably dominated already.
 
@@ -23,17 +23,6 @@ import (
 // stop when yield returns false. The function type matches
 // iter.Seq[Candidate], so it supports range-over-func directly.
 type CandidateSeq = func(yield func(Candidate) bool)
-
-// CollectSeq materializes a generator into a slice — the bridge from the
-// streaming builders back to the slice-based Sweep APIs.
-func CollectSeq(seq CandidateSeq) []Candidate {
-	var out []Candidate
-	seq(func(c Candidate) bool {
-		out = append(out, c)
-		return true
-	})
-	return out
-}
 
 // StreamStats counts candidates through the streaming catalog pipeline:
 //
@@ -210,16 +199,15 @@ func (o StreamOptions) resolveMargin(backend CostBackend) float64 {
 // then costs the survivors on the backend and inserts them into the
 // frontier builder as they complete. Because the Pareto-optimal subset of
 // a point set is order-independent and the final frontier is sorted
-// deterministically, the resulting catalog is byte-identical to the batch
-// Catalog over the same candidates (the golden tests in internal/core
-// prove this per model family), while dominated candidates cost no memory
-// and — when the pre-filter catches them — no backend work.
+// deterministically, the resulting catalog is byte-identical to a
+// sequential batch build over the same candidates (the golden tests in
+// internal/core prove this per model family), while dominated candidates
+// cost no memory and — when the pre-filter catches them — no backend work.
 //
 // The caller must close in (or cancel ctx) for catalogStream to return.
-// On a candidate failure the first error observed wins — unlike Sweep's
-// deterministic lowest-index error, completion order decides — and the
-// pipeline shuts down early: workers stop pulling and an internal cancel
-// releases them. The producer must watch ctx on its sends (as
+// On a candidate failure the first error observed wins — completion
+// order, not candidate order, decides — and the pipeline shuts down
+// early: workers stop pulling and an internal cancel releases them. The producer must watch ctx on its sends (as
 // CatalogFromSeq's generator pump does), or it may be left blocked on an
 // abandoned channel.
 func (e *Engine) catalogStream(ctx context.Context, model string, in <-chan Candidate, opts StreamOptions) (*rdd.Catalog, StreamStats, error) {

@@ -25,7 +25,7 @@ func seqOf(cands []Candidate) CandidateSeq {
 
 func TestCatalogStreamMatchesBatchCatalog(t *testing.T) {
 	// 64 candidates, accuracy increasing with cost plus some dominated
-	// stragglers — the frontier must match the batch path exactly.
+	// stragglers — the frontier must match the sequential reference exactly.
 	mk := func() []Candidate {
 		cands := toyCandidates(64, func(i int) int { return (i + 1) * 10 })
 		for i := range cands {
@@ -37,10 +37,7 @@ func TestCatalogStreamMatchesBatchCatalog(t *testing.T) {
 		return cands
 	}
 	backend := &countingBackend{}
-	want, err := New(backend, 4).Catalog("toy", mk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sequentialCatalog(t, backend, "toy", mk())
 	// -1 disabled, 0 default (= disabled too: countingBackend does not
 	// declare FLOPsMonotone), 0.4 explicitly enabled.
 	for _, margin := range []float64{-1, 0, 0.4} {
@@ -70,7 +67,7 @@ func TestCatalogStreamPrefilterSkipsBackend(t *testing.T) {
 	// The FLOPs proxy backend makes cost == the admission metric, so any
 	// candidate the filter skips is genuinely dominated: with a strictly
 	// worsening tail the filter must skip most of it and the catalog must
-	// still match the batch build.
+	// still match the sequential reference.
 	n := 50
 	mk := func() []Candidate {
 		cands := toyCandidates(n, func(i int) int { return (i + 1) * 100 })
@@ -80,10 +77,7 @@ func TestCatalogStreamPrefilterSkipsBackend(t *testing.T) {
 		return cands
 	}
 	backend := FLOPs()
-	want, err := New(backend, 1).Catalog("tail", mk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sequentialCatalog(t, backend, "tail", mk())
 	// One worker: deterministic arrival order, so the first (best) point
 	// is on the admission frontier before any dominated tail arrives.
 	got, st, err := New(backend, 1).CatalogFromSeq(context.Background(), "tail", seqOf(mk()), StreamOptions{PrefilterMargin: 0.1})
@@ -91,7 +85,7 @@ func TestCatalogStreamPrefilterSkipsBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want.Paths, got.Paths) {
-		t.Fatalf("prefiltered catalog diverges from batch:\n got %+v\nwant %+v", got.Paths, want.Paths)
+		t.Fatalf("prefiltered catalog diverges from the sequential reference:\n got %+v\nwant %+v", got.Paths, want.Paths)
 	}
 	if st.Prefiltered == 0 {
 		t.Fatalf("strictly dominated tail triggered no prefiltering: %+v", st)
@@ -218,19 +212,6 @@ func TestCatalogStreamEmptyStream(t *testing.T) {
 	_, _, err := New(&countingBackend{}, 2).catalogStream(context.Background(), "empty", in, StreamOptions{})
 	if err == nil || !strings.Contains(err.Error(), "at least one path") {
 		t.Errorf("empty stream err = %v, want the empty-catalog error", err)
-	}
-}
-
-func TestCollectSeq(t *testing.T) {
-	cands := toyCandidates(5, func(i int) int { return i + 1 })
-	got := CollectSeq(seqOf(cands))
-	if len(got) != 5 {
-		t.Fatalf("collected %d candidates", len(got))
-	}
-	for i := range got {
-		if got[i].Label != cands[i].Label {
-			t.Errorf("candidate %d label %s, want %s", i, got[i].Label, cands[i].Label)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -56,7 +57,7 @@ func TestReplayGoldenMatchesLocalSim(t *testing.T) {
 	}
 
 	// The local replay, straight through core + rdd, no server.
-	cat, err := core.OFACatalog(engine.FLOPs(), 0)
+	cat, _, err := core.Catalog(context.Background(), core.Spec{Family: "ofa"}, engine.FLOPs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestReplayHysteresisPolicy(t *testing.T) {
 	}
 
 	// Golden: the served numbers equal a local replay of the echoed spec.
-	cat, err := core.OFACatalog(engine.FLOPs(), 0)
+	cat, _, err := core.Catalog(context.Background(), core.Spec{Family: "ofa"}, engine.FLOPs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,11 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,7 +25,6 @@ import (
 	"vitdyn/internal/magnet"
 	"vitdyn/internal/nn"
 	"vitdyn/internal/obs"
-	"vitdyn/internal/prune"
 	"vitdyn/internal/rdd"
 )
 
@@ -708,8 +709,13 @@ type BackendInfo struct {
 	Unit string `json:"unit"` // cost unit of the catalog it produces
 }
 
-// Backends enumerates every backend spec the server accepts.
-func Backends() []BackendInfo {
+// Backends enumerates every backend spec the server accepts, sorted by
+// spec. The slice is the caller's own copy.
+func Backends() []BackendInfo { return slices.Clone(backendTable()) }
+
+// backendTable is the published backend table, built on first use and
+// shared read-only.
+var backendTable = sync.OnceValue(func() []BackendInfo {
 	infos := []BackendInfo{
 		{Spec: "gpu", Name: engine.GPU(gpu.A5000()).Name(), Unit: "ms"},
 		{Spec: "flops", Name: engine.FLOPs().Name(), Unit: "GMACs"},
@@ -722,7 +728,7 @@ func Backends() []BackendInfo {
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Spec < infos[j].Spec })
 	return infos
-}
+})
 
 // ResolveBackend maps a ?backend= spec to a CostBackend:
 //
@@ -776,62 +782,23 @@ type CatalogRequest struct {
 	Workers int    `json:"workers,omitempty"` // per-request worker budget (0 = server default)
 }
 
-// withDefaults canonicalizes a spec so every consumer (candidate
-// generation, cache keys, canonical response identities) sees one form
-// per distinct catalog: fields the family ignores are zeroed, omitted
-// ones resolved (dataset ADE, variant Tiny), and an explicit
-// family-default step folded to 0. A negative step is left as given:
-// Seq rejects it, and it must not share a key with a valid spec.
+// spec is the request's catalog spec.
+func (cr CatalogRequest) spec() core.Spec {
+	return core.Spec{Family: cr.Family, Dataset: cr.Dataset, Variant: cr.Variant, Step: cr.Step}
+}
+
+// withDefaults canonicalizes the request's catalog spec (see
+// core.Spec.Canonical), leaving Backend and Workers as given.
 func (cr CatalogRequest) withDefaults() CatalogRequest {
-	step := cr.Step
-	switch cr.Family {
-	case "segformer", "segformer-retrained":
-		cr.Variant = ""
-		if cr.Dataset == "" {
-			cr.Dataset = "ADE"
-		}
-		if cr.Family == "segformer-retrained" || cr.Step == prune.DefaultSegFormerStep {
-			cr.Step = 0
-		}
-	case "swin":
-		cr.Dataset = ""
-		if cr.Variant == "" {
-			cr.Variant = "Tiny"
-		}
-		if cr.Step == prune.DefaultSwinStep {
-			cr.Step = 0
-		}
-	case "swin-retrained", "ofa":
-		cr.Dataset, cr.Variant, cr.Step = "", "", 0
-	}
-	if step < 0 {
-		cr.Step = step
-	}
+	s := cr.spec().Canonical()
+	cr.Family, cr.Dataset, cr.Variant, cr.Step = s.Family, s.Dataset, s.Variant, s.Step
 	return cr
 }
 
-// Seq resolves the request to a catalog name and candidate generator via
-// the core builders — the streaming form the server feeds into
+// Seq resolves the request to a catalog name and candidate generator (see
+// core.Spec.Seq) — the streaming form the server feeds into
 // engine.CatalogFromSeq.
-func (cr CatalogRequest) Seq() (string, engine.CandidateSeq, error) {
-	if cr.Step < 0 {
-		return "", nil, fmt.Errorf("bad step=%d: want a channel step >= 0 (0 = family default)", cr.Step)
-	}
-	cr = cr.withDefaults()
-	switch cr.Family {
-	case "segformer":
-		return core.SegFormerCandidateSeq(cr.Dataset, cr.Step)
-	case "segformer-retrained":
-		return core.SegFormerRetrainedCandidateSeq(cr.Dataset)
-	case "swin":
-		return core.SwinCandidateSeq(cr.Variant, cr.Step)
-	case "swin-retrained":
-		return core.SwinRetrainedCandidateSeq()
-	case "ofa":
-		return core.OFACandidateSeq()
-	}
-	return "", nil, fmt.Errorf("unknown family %q (want segformer, segformer-retrained, swin, swin-retrained, ofa)", cr.Family)
-}
+func (cr CatalogRequest) Seq() (string, engine.CandidateSeq, error) { return cr.spec().Seq() }
 
 // CatalogPath is one Pareto-frontier path in a catalog response.
 type CatalogPath struct {
@@ -890,7 +857,7 @@ func CatalogResponseFor(cat *rdd.Catalog, backendName, unit string) CatalogRespo
 // unitFor maps a resolved backend name to its cost unit via the
 // published backend table.
 func unitFor(backendName string) string {
-	for _, b := range Backends() {
+	for _, b := range backendTable() {
 		if b.Name == backendName {
 			return b.Unit
 		}

@@ -14,6 +14,7 @@ import (
 
 	"vitdyn/internal/core"
 	"vitdyn/internal/engine"
+	"vitdyn/internal/magnet"
 )
 
 // newTestServer returns a server with a fresh store and its httptest
@@ -59,7 +60,7 @@ func TestCatalogEndToEndByteIdenticalAndCached(t *testing.T) {
 	}
 
 	// Reference build, straight through core + engine, no server.
-	direct, err := core.SegFormerCatalog("ADE", engine.FLOPs(), 512, 0)
+	direct, _, err := core.Catalog(context.Background(), core.Spec{Family: "segformer", Dataset: "ADE", Step: 512}, engine.FLOPs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +209,26 @@ func TestBackendsEndpoint(t *testing.T) {
 		if !specs[want] {
 			t.Errorf("backend list missing %q", want)
 		}
+	}
+}
+
+// TestUnitForZeroAllocs pins the unit lookup every cold catalog, batch
+// item and replay response makes at zero allocations: it reads the
+// backend table in place, while Backends hands each caller its own copy.
+func TestUnitForZeroAllocs(t *testing.T) {
+	for _, b := range Backends() {
+		if got := unitFor(b.Name); got != b.Unit {
+			t.Errorf("unitFor(%q) = %q, want %q", b.Name, got, b.Unit)
+		}
+	}
+	name := engine.MagnetEnergy(magnet.AcceleratorE()).Name()
+	if allocs := testing.AllocsPerRun(100, func() { unitFor(name) }); allocs != 0 {
+		t.Errorf("unitFor allocates %.0f times per call, want 0", allocs)
+	}
+	mine := Backends()
+	mine[0].Unit = "furlongs"
+	if Backends()[0].Unit == "furlongs" {
+		t.Error("Backends returned the shared table, not a copy")
 	}
 }
 

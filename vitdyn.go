@@ -227,18 +227,12 @@ type RDDSimResult = rdd.SimResult
 // FLOPs proxy, or user code — can drive catalog construction.
 type CostBackend = engine.CostBackend
 
-// ExecutionTarget is the legacy name for CostBackend.
-type ExecutionTarget = engine.CostBackend
-
 // SweepCandidate is one labeled execution path awaiting costing.
 type SweepCandidate = engine.Candidate
 
-// SweepCandidateSeq is a push generator of candidates — the streaming
-// equivalent of a []SweepCandidate, consumable with range-over-func.
+// SweepCandidateSeq is a push generator of candidates, consumable with
+// range-over-func.
 type SweepCandidateSeq = engine.CandidateSeq
-
-// SweepResult is one costed candidate.
-type SweepResult = engine.Result
 
 // StreamStats counts candidates through the streaming catalog pipeline:
 // generated, pre-filtered before backend costing, costed, and admitted to
@@ -431,85 +425,31 @@ func Serve(ctx context.Context, addr string, opts ServeOptions) error {
 	return serve.ListenAndServe(ctx, addr, opts, nil)
 }
 
-// SegFormerRDDCatalog builds the pretrained-pruning catalog for SegFormer
-// B2 on "ADE" or "City". channelStep controls sweep granularity (0 for the
-// default). Construction streams: candidates are generated, pre-filtered
-// against a FLOPs-proxy frontier, costed across GOMAXPROCS workers and
-// reduced incrementally — byte-identical to a batch build. For explicit
-// worker control, sweep the corresponding *Candidates list with
-// NewSweepEngine — e.g.
+// CatalogSpec names one execution-path catalog: a family —
+// "segformer" (pretrained B2 pruning), "segformer-retrained" (B0/B1/B2
+// switching), "swin" (pretrained pruning), "swin-retrained"
+// (Tiny/Small/Base switching) or "ofa" (the Once-For-All ResNet-50 subnet
+// ladder) — plus the dataset, variant and channel step it reads. Omitted
+// fields take the family's defaults.
+type CatalogSpec = core.Spec
+
+// BuildRDDCatalog builds the catalog the spec names on the target.
+// Construction streams: candidates are generated, pre-filtered against a
+// FLOPs-proxy frontier, costed across GOMAXPROCS workers and reduced
+// incrementally — byte-identical to a sequential batch build. The stats
+// count how many candidates were generated, pre-filtered before any
+// backend evaluation, costed, and admitted to the frontier. For explicit
+// worker control, stream CatalogCandidates through NewSweepEngine — e.g.
 //
-//	name, cands, _ := vitdyn.SegFormerSweepCandidates("ADE", 512)
-//	cat, err := vitdyn.NewSweepEngine(backend, 4).Catalog(name, cands)
-func SegFormerRDDCatalog(dataset string, target CostBackend, channelStep int) (*RDDCatalog, error) {
-	return core.SegFormerCatalog(dataset, target, channelStep, 0)
+//	name, seq, _ := vitdyn.CatalogCandidates(vitdyn.CatalogSpec{Family: "segformer", Step: 512})
+//	cat, _, err := vitdyn.NewSweepEngine(target, 4).CatalogFromSeq(ctx, name, seq, vitdyn.StreamOptions{})
+func BuildRDDCatalog(ctx context.Context, spec CatalogSpec, target CostBackend) (*RDDCatalog, StreamStats, error) {
+	return core.Catalog(ctx, spec, target, 0)
 }
 
-// SegFormerRDDCatalogStream is SegFormerRDDCatalog with the streaming
-// pipeline's counters: how many candidates were generated, pre-filtered
-// before any backend evaluation, costed, and admitted to the frontier.
-func SegFormerRDDCatalogStream(ctx context.Context, dataset string, target CostBackend, channelStep int) (*RDDCatalog, StreamStats, error) {
-	return core.SegFormerCatalogStream(ctx, dataset, target, channelStep, 0)
-}
-
-// SegFormerSweepCandidates enumerates the pretrained SegFormer B2
-// pruning sweep (catalog name + candidates) for sweeping with a custom
-// engine.
-func SegFormerSweepCandidates(dataset string, channelStep int) (string, []SweepCandidate, error) {
-	return core.SegFormerCandidates(dataset, channelStep)
-}
-
-// SegFormerRetrainedSweepCandidates enumerates the B0/B1/B2 switching
-// family.
-func SegFormerRetrainedSweepCandidates(dataset string) (string, []SweepCandidate, error) {
-	return core.SegFormerRetrainedCandidates(dataset)
-}
-
-// SwinSweepCandidates enumerates the Swin pruning sweep for a variant.
-func SwinSweepCandidates(variant string, channelStep int) (string, []SweepCandidate, error) {
-	return core.SwinCandidates(variant, channelStep)
-}
-
-// SwinRetrainedSweepCandidates enumerates the Tiny/Small/Base switching
-// family.
-func SwinRetrainedSweepCandidates() (string, []SweepCandidate, error) {
-	return core.SwinRetrainedCandidates()
-}
-
-// OFASweepCandidates enumerates the Once-For-All ResNet-50 subnet ladder.
-func OFASweepCandidates() (string, []SweepCandidate, error) {
-	return core.OFACandidates()
-}
-
-// SegFormerRetrainedRDDCatalog builds the B0/B1/B2 switching catalog.
-func SegFormerRetrainedRDDCatalog(dataset string, target CostBackend) (*RDDCatalog, error) {
-	return core.SegFormerRetrainedCatalog(dataset, target, 0)
-}
-
-// SwinRDDCatalog builds the Swin pruning catalog.
-func SwinRDDCatalog(variant string, target CostBackend, channelStep int) (*RDDCatalog, error) {
-	return core.SwinCatalog(variant, target, channelStep, 0)
-}
-
-// SwinRDDCatalogStream is SwinRDDCatalog with stream stats.
-func SwinRDDCatalogStream(ctx context.Context, variant string, target CostBackend, channelStep int) (*RDDCatalog, StreamStats, error) {
-	return core.SwinCatalogStream(ctx, variant, target, channelStep, 0)
-}
-
-// SwinRetrainedRDDCatalog builds the Tiny/Small/Base switching catalog.
-func SwinRetrainedRDDCatalog(target CostBackend) (*RDDCatalog, error) {
-	return core.SwinRetrainedCatalog(target, 0)
-}
-
-// OFARDDCatalog builds the Once-For-All ResNet-50 switching catalog.
-func OFARDDCatalog(target CostBackend) (*RDDCatalog, error) {
-	return core.OFACatalog(target, 0)
-}
-
-// OFARDDCatalogStream is OFARDDCatalog with stream stats.
-func OFARDDCatalogStream(ctx context.Context, target CostBackend) (*RDDCatalog, StreamStats, error) {
-	return core.OFACatalogStream(ctx, target, 0)
-}
+// CatalogCandidates resolves the spec to its catalog name and candidate
+// generator, for building the catalog on a custom engine.
+func CatalogCandidates(spec CatalogSpec) (string, SweepCandidateSeq, error) { return spec.Seq() }
 
 // TraceSpec is the declarative form of a resource trace — a generator
 // kind plus its parameters, decodable from JSON. It is the one trace

@@ -31,7 +31,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil || ar.TotalSeconds <= 0 {
 		t.Fatalf("accelerator simulation failed: %v", err)
 	}
-	cat, err := SegFormerRDDCatalog("ADE", TargetAcceleratorE(), 1024)
+	cat, _, err := BuildRDDCatalog(context.Background(), CatalogSpec{Family: "segformer", Dataset: "ADE", Step: 1024}, TargetAcceleratorE())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +104,17 @@ func TestPublicAccelerators(t *testing.T) {
 // graceful Serve shutdown.
 func TestPublicServingSurface(t *testing.T) {
 	store := NewCostStore(512)
-	name, cands, err := OFASweepCandidates()
+	ctx := context.Background()
+	name, seq, err := CatalogCandidates(CatalogSpec{Family: "ofa"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewSweepEngineWithStore(TargetFLOPs(), 2, store).Catalog(name, cands)
+	cold, _, err := NewSweepEngineWithStore(TargetFLOPs(), 2, store).CatalogFromSeq(ctx, name, seq, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldStats := store.Stats()
-	warm, err := NewSweepEngineWithStore(TargetFLOPs(), 2, store).Catalog(name, cands)
+	warm, _, err := NewSweepEngineWithStore(TargetFLOPs(), 2, store).CatalogFromSeq(ctx, name, seq, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
